@@ -401,7 +401,8 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError, WindowError, TruncationError, KeyError) as exc:
+    except (OSError, ValueError, ZeroDivisionError, WindowError,
+            TruncationError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

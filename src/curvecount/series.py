@@ -436,7 +436,7 @@ class BivariateSeries:
         """
         if not m.is_zero and m.min_exp <= 0:
             raise ValueError("substitution series has terms below exponent 1")
-        if m.is_zero or m.min_exp != 1:
+        elif m.is_zero or m.min_exp != 1:
             raise ValueError("substitution series needs valuation exactly 1")
         out_trunc = min(m.trunc_order, self.t_trunc)
         default_t = min(e.trunc_order for e in self.per_degree)
@@ -448,7 +448,6 @@ class BivariateSeries:
         layers = []
         for e in range(out_trunc + 1):
             acc = None
-            trunc_bound = None
             if e == 0:
                 acc = self.per_degree[0]
             for d in range(1, self.t_trunc + 1):

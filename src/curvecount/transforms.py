@@ -5,9 +5,14 @@ The GW/GV dictionary expands every GV entry through its multiple covers:
     N_{g,d} = sum_{r | d} sum_{g'} (n_{g'}^{d/r} / r) [lam^(2g-2)] K_{g',r}
 
 with kernel K_{g',r} = (2 sin(r lam / 2))^(2g'-2) = (2 - 2cos(r lam))^(g'-1),
-an honest Laurent series at g' = 0 (lowest exponent -2).  The inversion runs
-degrees ascending, then genus ascending; the diagonal coefficient is 1, so
-the map is triangular and exactly invertible.
+an honest Laurent series at g' = 0 (lowest exponent -2).  Two identities
+build every kernel from one power of 2 - 2cos(lam) per genus:
+
+    K_{g',r}(lam) = K_{g',1}(r lam)    ([lam^e] scales by r^e; r^-2 at g' = 0)
+    K_{g',1} = K_{g'-1,1} * (2 - 2cos lam)    (g' >= 3, truncated at lam_trunc)
+
+The inversion runs degrees ascending, then genus ascending; the diagonal
+coefficient is 1, so the map is triangular and exactly invertible.
 
 The stable-pair side expands the same table in u := -q:
 
@@ -44,18 +49,28 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def _cover_kernel(r: int, g_prime: int, lam_trunc: int) -> LaurentSeries:
-    """(2 sin(r*lam/2))^(2g'-2) on the window reaching lam^lam_trunc."""
+    """(2 sin(r*lam/2))^(2g'-2), known from its lowest exponent to lam^lam_trunc.
+
+    Only the r = 1 kernels are built; the genus recursion and the rescaling
+    to r > 1 both look their inputs up through this cache.
+    """
+    if r > 1:  # K_{g',r}(lam) = K_{g',1}(r lam)
+        k = _cover_kernel(1, g_prime, lam_trunc)
+        return LaurentSeries(
+            "lambda", k.min_exp,
+            [c * Fraction(r) ** e for e, c in enumerate(k.coeffs, k.min_exp)],
+            k.trunc_order)
+    if g_prime == 1:
+        return LaurentSeries.one("lambda", lam_trunc)
+    if g_prime >= 3:  # K_{g',1} = K_{g'-1,1} * K_{2,1}
+        prev = _cover_kernel(1, g_prime - 1, lam_trunc)
+        return (prev * _cover_kernel(1, 2, lam_trunc)).truncate(lam_trunc)
     base_trunc = lam_trunc + (4 if g_prime == 0 else 0)
     coeffs = [Fraction(0)] * (base_trunc + 1)
     for j in range(1, base_trunc // 2 + 1):
-        coeffs[2 * j] = Fraction(2 * (-1) ** (j + 1) * r ** (2 * j),
-                                 factorial(2 * j))
-    base = LaurentSeries("lambda", 0, coeffs, base_trunc)  # 2 - 2cos(r lam)
-    if g_prime == 0:
-        return base.invert()
-    if g_prime == 1:
-        return LaurentSeries.one("lambda", lam_trunc)
-    return base ** (g_prime - 1)
+        coeffs[2 * j] = Fraction(2 * (-1) ** (j + 1), factorial(2 * j))
+    base = LaurentSeries("lambda", 0, coeffs, base_trunc)  # 2 - 2cos(lam)
+    return base.invert() if g_prime == 0 else base
 
 
 def _require_window(table, g_out: int, d_out: int) -> None:

@@ -150,6 +150,14 @@ def test_usage_and_io_errors(tmp_path):
                  "--gmax", "1", "--dmax", "1"]) == 1
 
 
+def test_zero_denominator_is_a_usage_error(capsys):
+    rc = main(["walls", "candidates", "--n", "3", "--d", "1", "--b", "1/0"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_determinism(tmp_path):
     src = write(tmp_path / "gv.csv", "g,d,value\n0,1,1\n1,2,3\n")
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from curvecount.bounds import bps_threshold
+from curvecount.bounds import bps_threshold, extremal_gv
 from curvecount.series import BivariateSeries, LaurentSeries, WindowError
 from curvecount.tables import GvTable, GwTable, PtTable, TruncationError
 from curvecount.transforms import (
+    _cover_kernel,
     apply_castelnuovo_vanishing,
     connected_vanishing_check,
     gv_to_gw,
@@ -77,6 +79,35 @@ def test_kernel_subleading_coefficient():
         assert gw.value(g + 1, 7) == F(-5 * (g - 1), 12)
 
 
+def direct_kernel(r: int, g_prime: int, lam_trunc: int) -> LaurentSeries:
+    """(2 - 2cos(r lam))^(g'-1) by repeated multiplication of the r-scaled base."""
+    base_trunc = lam_trunc + (4 if g_prime == 0 else 0)
+    coeffs = [F(0)] * (base_trunc + 1)
+    for j in range(1, base_trunc // 2 + 1):
+        coeffs[2 * j] = F(2 * (-1) ** (j + 1) * r ** (2 * j),
+                          math.factorial(2 * j))
+    base = LaurentSeries("lambda", 0, coeffs, base_trunc)
+    if g_prime == 0:
+        return base.invert()
+    kernel = LaurentSeries.one("lambda", lam_trunc)
+    for _ in range(g_prime - 1):
+        kernel = kernel * base
+    return kernel
+
+
+def test_cover_kernel_matches_direct_powers():
+    _cover_kernel.cache_clear()
+    for lam_trunc in (18, 25):
+        for r in range(1, 6):
+            for g_prime in range(0, 11):
+                got = _cover_kernel(r, g_prime, lam_trunc)
+                want = direct_kernel(r, g_prime, lam_trunc)
+                assert got.trunc_order >= lam_trunc
+                for e in range(-2, lam_trunc + 1):
+                    assert got.coefficient(e) == want.coefficient(e), \
+                        (r, g_prime, lam_trunc, e)
+
+
 # -- gw_to_gv ----------------------------------------------------------
 
 def test_round_trip_specific():
@@ -104,6 +135,25 @@ def test_round_trip_random_tables():
         gw = gv_to_gw(gv, 6, 8)
         back = gw_to_gv(gw, 6, 8)
         assert back.entries == gv.entries
+
+
+def test_round_trip_paper_window_with_boundary_cell():
+    # every cell g <= floor(B(d)), d <= 20, extremal values where B(d) is an
+    # integer, so the equality case (51, 20) = 175 goes through the kernel
+    rng = random.Random(51)
+    entries = {}
+    for d in range(1, 21):
+        top = math.floor(bps_threshold(d))
+        for g in range(top + 1):
+            if g == top and d % 5 == 0:
+                entries[(g, d)] = F(extremal_gv(d // 5))
+            else:
+                entries[(g, d)] = F(rng.choice([-9, -5, -2, -1, 1, 3, 4, 7]))
+    assert entries[(51, 20)] == 175
+    gv = GvTable(entries, 53, 20)
+    back = gw_to_gv(gv_to_gw(gv, 53, 20), 53, 20)
+    assert back.entries == gv.entries
+    assert integrality_check(back) == []
 
 
 # -- integrality -------------------------------------------------------
