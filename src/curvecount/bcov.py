@@ -49,21 +49,19 @@ STATUS_GAP = "fixed-gap"
 STATUS_CASTELNUOVO = "fixed-castelnuovo"
 STATUS_SUPPLIED = "supplied"
 
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+# The quintic's conifold discriminant is 1 - 5^5 q.
+QUINTIC_CONIFOLD = 5 ** 5
 
 
 def regularity_indices(g: int) -> range:
     """Indices forced to zero: 0 .. ceil((3g-3)/5)."""
     _check_genus(g)
-    return range(0, _ceil_div(3 * g - 3, 5) + 1)
+    return range(0, -(-(3 * g - 3) // 5) + 1)
 
 
 def castelnuovo_indices(g: int) -> range:
     """The floor((2g-2)/5) middle indices ceil((3g-3)/5)+1 .. g-1."""
-    _check_genus(g)
-    return range(_ceil_div(3 * g - 3, 5) + 1, g)
+    return range(regularity_indices(g).stop, g)
 
 
 def gap_indices(g: int) -> range:
@@ -166,7 +164,7 @@ class ConifoldFrame:
     @classmethod
     def toy(cls, trunc: int = 24) -> ConifoldFrame:
         """Non-physical testing frame with Delta := delta (solver mechanics only)."""
-        delta_of_q = LaurentSeries("q", 0, [1, Fraction(-1, 5 ** 5)], 1)
+        delta_of_q = LaurentSeries("q", 0, [1, Fraction(-1, QUINTIC_CONIFOLD)], 1)
         identity = LaurentSeries.monomial("delta", 1, 1, trunc)
         return cls(delta_of_q, identity)
 
@@ -257,8 +255,7 @@ def castelnuovo_solve(g: int, known_poly_q: LaurentSeries, Dg: int,
     top power down; with E < K the K - E missing initial conditions leave
     the system underdetermined and the result reports them as unresolved.
     """
-    _check_genus(g)
-    K = (2 * (g - 1)) // 5
+    K = len(castelnuovo_indices(g))
     E = min(Dg, K)
     if len(supplied_gw) < E + 1:
         raise ValueError(f"need degree data through q^{E}")
@@ -270,7 +267,7 @@ def castelnuovo_solve(g: int, known_poly_q: LaurentSeries, Dg: int,
         return CastelnuovoSolveResult(g, {}, unresolved, E, K, missing)
     t = [Fraction(supplied_gw[j]) - known_poly_q.coefficient(j)
          for j in range(K + 1)]
-    base = Fraction(-(5 ** 5))
+    base = Fraction(-QUINTIC_CONIFOLD)
     x: dict[int, Fraction] = {}
     for j in range(K, -1, -1):
         acc = t[j] / base ** j
@@ -359,8 +356,8 @@ def resolution_plan(g: int) -> ResolutionPlan:
     supplied exactly when the threshold is hit on the nose (B(d) = g with
     d = 5m), where the extremal value is known.
     """
-    _check_genus(g)
-    K = (2 * (g - 1)) // 5
+    middle = castelnuovo_indices(g)
+    K = len(middle)
     Dg = max_vanishing_degree(g)
     E = min(Dg, K)
     missing = tuple(range(E + 1, K + 1))
@@ -378,5 +375,5 @@ def resolution_plan(g: int) -> ResolutionPlan:
     else:
         status = "open"
     return ResolutionPlan(
-        g, tuple(regularity_indices(g)), tuple(castelnuovo_indices(g)),
+        g, tuple(regularity_indices(g)), tuple(middle),
         tuple(gap_indices(g)), K, Dg, E, missing, tuple(supplements), status)

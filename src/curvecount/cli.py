@@ -4,9 +4,10 @@ Subcommands: transform (gv2gw, gw2gv, gv2pt, pt2dt), bounds (table, check),
 walls (candidates), bcov (plan, gap-solve), validate.  All data files carry
 exact "p/q" strings; identical configuration and inputs produce byte-identical
 outputs.  Exit codes: 0 clean, 1 usage/IO/parse error, 2 validation failure.
-Output files are written to a temporary sibling and atomically renamed, so
-failures never leave partial files.  An optional ``key = value`` config file
-supplies defaults; explicit flags win.
+``_atomic_write`` is the one file writer: it writes a temporary sibling and
+renames it atomically, so failures never leave partial files.  Table text
+comes from ``tables``.  An optional ``key = value`` config file supplies
+defaults; explicit flags win.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from . import transforms
 from .series import LaurentSeries, WindowError, format_rational
 from .svg import render_candidates_svg
 from .tables import (
-    PtTable,
     TruncationError,
     read_table_csv,
     read_table_json,
-    table_to_json_dict,
+    table_to_csv,
+    table_to_json,
 )
 from .walls import enumerate_destabilizers
 
@@ -61,21 +62,23 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _write_table(table, path: str) -> None:
-    if path.endswith(".json"):
-        body = json.dumps(table_to_json_dict(table), sort_keys=True, indent=1) + "\n"
+def _write_out(path: str | None, body: str) -> None:
+    """Write body to path atomically, or to stdout when no path is given."""
+    if path:
+        _atomic_write(path, body)
     else:
-        lines = [("n" if isinstance(table, PtTable) else "g") + ",d,value"]
-        lines += [f"{a},{d},{format_rational(v)}"
-                  for (a, d), v in table.sorted_items()]
-        body = "\n".join(lines) + "\n"
-    _atomic_write(path, body)
+        sys.stdout.write(body)
+
+
+def _write_table(table, path: str) -> None:
+    _atomic_write(path, table_to_json(table) if path.endswith(".json")
+                  else table_to_csv(table))
 
 
 def _read_table(path: str, kind: str, **kw):
     if path.endswith(".json"):
         table = read_table_json(path)
-        if table.kind != kind and not (kind == "pt" and table.kind in ("pt", "dt")):
+        if table.kind != kind:
             raise ValueError(f"expected a {kind} table in {path}")
         return table
     return read_table_csv(path, kind, **kw)
@@ -87,11 +90,7 @@ def _load_series(path: str) -> LaurentSeries:
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    body = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    if path:
-        _atomic_write(path, body)
-    else:
-        sys.stdout.write(body)
+    _write_out(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -269,11 +268,7 @@ def _run_bounds(args) -> int:
             gen = bounds_mod.genus_bound_general(profile, d)
             row += [format_rational(gen.bound), str(gen.bound_floor)]
             lines.append(",".join(row))
-        body = "\n".join(lines) + "\n"
-        if args.outfile:
-            _atomic_write(args.outfile, body)
-        else:
-            sys.stdout.write(body)
+        _write_out(args.outfile, "\n".join(lines) + "\n")
         return EXIT_OK
     if args.what == "corollary":
         rep = bounds_mod.castelnuovo_corollary_check(int(args.gmax))
@@ -310,11 +305,7 @@ def _run_walls(args) -> int:
     for c in cands:
         lines.append(f"{c.k},{c.d1},{format_rational(c.wall.center_b)},"
                      f"{format_rational(c.wall.radius_sq)}")
-    body = "\n".join(lines) + "\n"
-    if args.outfile:
-        _atomic_write(args.outfile, body)
-    else:
-        sys.stdout.write(body)
+    _write_out(args.outfile, "\n".join(lines) + "\n")
     if args.svgfile:
         title = f"numerical wall candidates n={args.n} d={args.d} b={args.b}"
         _atomic_write(args.svgfile, render_candidates_svg(cands, title))

@@ -3,11 +3,14 @@
 GV/GW tables map (genus g >= 0, degree d >= 1) to exact rationals; PT/DT
 tables map (holomorphic Euler characteristic n, degree d >= 1).  Only nonzero
 entries are stored.  Absence means zero *inside* the declared truncation
-window and unknown outside it; `value()` enforces that distinction.
+window and unknown outside it; `value()` enforces that distinction.  Each
+table shape states its vanishing law once, in `forbids()`.
 
-File formats: CSV with header ``g,d,value`` (GV/GW) or ``n,d,value`` (PT/DT),
-values as exact "p/q" strings, rows sorted by (d, g|n); JSON mirrors the same
-entries plus the truncation metadata.
+This module owns the file formats and writes no files: `table_to_csv` and
+`table_to_json` return the text, and the readers reject duplicate keys.
+CSV has header ``g,d,value`` (GV/GW) or ``n,d,value`` (PT/DT), values as
+exact "p/q" strings, rows sorted by (d, g|n); JSON mirrors the same entries
+plus the truncation metadata.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
-from .series import Scalar, _coerce, format_rational, parse_rational
+from .bounds import bps_threshold
+from .series import _coerce, format_rational, parse_rational
 
 __all__ = [
     "GvTable",
@@ -25,10 +28,9 @@ __all__ = [
     "PtTable",
     "TruncationError",
     "read_table_csv",
-    "write_table_csv",
     "read_table_json",
-    "write_table_json",
-    "table_to_json_dict",
+    "table_to_csv",
+    "table_to_json",
     "table_from_json_dict",
 ]
 
@@ -37,119 +39,133 @@ class TruncationError(ValueError):
     """A value outside a table's declared truncation window was required."""
 
 
-def _clean_entries(entries: Mapping[tuple[int, int], Scalar]) -> dict:
-    return {k: v for k, v in ((k, _coerce(v)) for k, v in entries.items()) if v}
-
-
-def _quintic_threshold(d: int) -> Fraction:
-    # (d^2 + 5d + 10)/10; local to avoid a module cycle with bounds
-    return Fraction(d * d + 5 * d + 10, 10)
-
-
-@dataclass(frozen=True)
-class _GenusTable:
-    entries: dict[tuple[int, int], Fraction]
-    g_max: int
-    d_max: int
-    castelnuovo_valid: bool = False
+class _Table:
+    """Window check, lookup and row order; a shape adds its window and law."""
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _clean_entries(self.entries))
-        for (g, d) in self.entries:
-            if not (0 <= g <= self.g_max and 1 <= d <= self.d_max):
+        entries = ((k, _coerce(v)) for k, v in self.entries.items())
+        object.__setattr__(self, "entries", {k: v for k, v in entries if v})
+        for (a, d) in self.entries:
+            if not self._in_window(a, d):
                 raise TruncationError(
-                    f"entry ({g},{d}) outside window g<={self.g_max}, d<={self.d_max}")
-            if self.castelnuovo_valid and self.kind == "gv" \
-                    and g > _quintic_threshold(d):
+                    f"entry ({a},{d}) outside window {self._window_text()}")
+            if self.castelnuovo_valid and self.forbids(a, d):
                 raise ValueError(
-                    f"entry ({g},{d}) violates the declared genus threshold")
+                    f"entry ({a},{d}) violates the declared {self._law} threshold")
 
-    def value(self, g: int, d: int) -> Fraction:
-        if not (0 <= g <= self.g_max and 1 <= d <= self.d_max):
+    @staticmethod
+    def forbids(a: int, d: int) -> bool:
+        """Whether the vanishing law forces the (a, d) entry to zero."""
+        return False
+
+    def value(self, a: int, d: int) -> Fraction:
+        if not self._in_window(a, d):
             raise TruncationError(
-                f"({g},{d}) outside the known window g<={self.g_max}, d<={self.d_max}")
-        return self.entries.get((g, d), Fraction(0))
+                f"({a},{d}) outside the known window {self._window_text()}")
+        return self.entries.get((a, d), Fraction(0))
 
     def sorted_items(self) -> list[tuple[tuple[int, int], Fraction]]:
         return sorted(self.entries.items(), key=lambda kv: (kv[0][1], kv[0][0]))
 
 
+@dataclass(frozen=True)
+class _GenusTable(_Table):
+    entries: dict[tuple[int, int], Fraction]
+    g_max: int
+    d_max: int
+    castelnuovo_valid: bool = False
+
+    def _in_window(self, g: int, d: int) -> bool:
+        return 0 <= g <= self.g_max and 1 <= d <= self.d_max
+
+    def _window_text(self) -> str:
+        return f"g<={self.g_max}, d<={self.d_max}"
+
+
 class GvTable(_GenusTable):
-    """Gopakumar-Vafa table n_g^d; integral for honest BPS data."""
+    """Gopakumar-Vafa table n_g^d: integral for BPS data, zero for g > B(d)."""
 
     kind = "gv"
+    _law = "genus"
+
+    @staticmethod
+    def forbids(g: int, d: int) -> bool:
+        return g > bps_threshold(d)
 
 
 class GwTable(_GenusTable):
-    """Gromov-Witten table N_{g,d}; genuinely rational."""
+    """Gromov-Witten table N_{g,d}; genuinely rational, no vanishing law."""
 
     kind = "gw"
 
 
 @dataclass(frozen=True)
-class PtTable:
-    """Stable-pair table P_{n,d} (the same shape stores DT tables I_{n,d})."""
+class PtTable(_Table):
+    """Stable-pair table P_{n,d}, zero for n < 1 - B(d); also stores DT I_{n,d}."""
 
     entries: dict[tuple[int, int], Fraction]
     d_max: int
     q_window: tuple[int, int]
     castelnuovo_valid: bool = False
     kind = "pt"
+    _law = "vanishing"
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _clean_entries(self.entries))
-        n_min, n_max = self.q_window
-        if n_min > n_max:
+        if self.q_window[0] > self.q_window[1]:
             raise ValueError("empty q_window")
-        for (n, d) in self.entries:
-            if not (1 <= d <= self.d_max and n_min <= n <= n_max):
-                raise TruncationError(
-                    f"entry ({n},{d}) outside window d<={self.d_max}, "
-                    f"n in [{n_min},{n_max}]")
-            if self.castelnuovo_valid and n < 1 - _quintic_threshold(d):
-                raise ValueError(
-                    f"entry ({n},{d}) violates the declared vanishing threshold")
+        super().__post_init__()
 
-    def value(self, n: int, d: int) -> Fraction:
-        n_min, n_max = self.q_window
-        if not (1 <= d <= self.d_max and n_min <= n <= n_max):
-            raise TruncationError(
-                f"({n},{d}) outside the known window d<={self.d_max}, "
-                f"n in [{n_min},{n_max}]")
-        return self.entries.get((n, d), Fraction(0))
+    @staticmethod
+    def forbids(n: int, d: int) -> bool:
+        return n < 1 - bps_threshold(d)
 
-    def sorted_items(self) -> list[tuple[tuple[int, int], Fraction]]:
-        return sorted(self.entries.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+    def _in_window(self, n: int, d: int) -> bool:
+        return 1 <= d <= self.d_max and self.q_window[0] <= n <= self.q_window[1]
+
+    def _window_text(self) -> str:
+        return f"d<={self.d_max}, n in [{self.q_window[0]},{self.q_window[1]}]"
 
 
-_FIRST_COLUMN = {"gv": "g", "gw": "g", "pt": "n", "dt": "n"}
+_FIRST_COLUMN = {"gv": "g", "gw": "g", "pt": "n"}
 
 
-def write_table_csv(table, path: str, kind: str | None = None) -> None:
-    kind = kind or table.kind
-    lines = [f"{_FIRST_COLUMN[kind]},d,value"]
-    for (a, d), v in table.sorted_items():
-        lines.append(f"{a},{d},{format_rational(v)}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _add_entry(entries: dict, a: str, d: str, v: str) -> None:
+    key = (int(a), int(d))
+    if key in entries:
+        raise ValueError(f"duplicate entry ({key[0]},{key[1]})")
+    entries[key] = parse_rational(v)
+
+
+def table_to_csv(table) -> str:
+    lines = [f"{_FIRST_COLUMN[table.kind]},d,value"]
+    lines += [f"{a},{d},{format_rational(v)}" for (a, d), v in table.sorted_items()]
+    return "\n".join(lines) + "\n"
 
 
 def read_table_csv(path: str, kind: str, *, g_max: int | None = None,
                    d_max: int | None = None,
                    q_window: tuple[int, int] | None = None):
-    """Read a table; truncation bounds default to the support's extent."""
+    """Read a table; truncation bounds default to the support's extent.
+
+    Malformed rows raise ValueError("<path>:<line>: ...").
+    """
     entries: dict[tuple[int, int], Fraction] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         expect = f"{_FIRST_COLUMN[kind]},d,value"
         if header != expect:
-            raise ValueError(f"bad header {header!r}, expected {expect!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
+            raise ValueError(
+                f"{path}:1: bad header {header!r}, expected {expect!r}")
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.strip().split(",")
+            if fields == [""]:
                 continue
-            a, d, v = line.split(",")
-            entries[(int(a), int(d))] = parse_rational(v)
+            try:
+                if len(fields) != 3:
+                    raise ValueError(f"expected 3 fields, got {len(fields)}")
+                _add_entry(entries, *fields)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return _build_table(kind, entries, g_max=g_max, d_max=d_max, q_window=q_window)
 
 
@@ -169,10 +185,9 @@ def _build_table(kind: str, entries: dict, *, g_max=None, d_max=None,
     return PtTable(entries, d_max, q_window, castelnuovo_valid)
 
 
-def table_to_json_dict(table, kind: str | None = None) -> dict:
-    kind = kind or table.kind
+def table_to_json(table) -> str:
     d = {
-        "kind": kind,
+        "kind": table.kind,
         "d_max": table.d_max,
         "castelnuovo_valid": table.castelnuovo_valid,
         "entries": [[a, deg, format_rational(v)]
@@ -182,22 +197,17 @@ def table_to_json_dict(table, kind: str | None = None) -> dict:
         d["q_window"] = list(table.q_window)
     else:
         d["g_max"] = table.g_max
-    return d
+    return json.dumps(d, sort_keys=True, indent=1) + "\n"
 
 
 def table_from_json_dict(d: dict):
-    entries = {(int(a), int(deg)): parse_rational(v) for a, deg, v in d["entries"]}
-    kind = d["kind"]
+    entries: dict[tuple[int, int], Fraction] = {}
+    for a, deg, v in d["entries"]:
+        _add_entry(entries, a, deg, v)
     return _build_table(
-        kind, entries, g_max=d.get("g_max"), d_max=d["d_max"],
+        d["kind"], entries, g_max=d.get("g_max"), d_max=d["d_max"],
         q_window=tuple(d["q_window"]) if "q_window" in d else None,
         castelnuovo_valid=bool(d.get("castelnuovo_valid", False)))
-
-
-def write_table_json(table, path: str, kind: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table_to_json_dict(table, kind), fh, sort_keys=True, indent=1)
-        fh.write("\n")
 
 
 def read_table_json(path: str):

@@ -24,12 +24,11 @@ bookkeeping stays in u; signs convert to q-coefficients in exactly one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .bounds import bps_threshold
 from .series import BivariateSeries, LaurentSeries, WindowError
 from .tables import GvTable, GwTable, PtTable, TruncationError
 
@@ -270,27 +269,17 @@ def apply_castelnuovo_vanishing(table):
     GV tables: entries with g > B(d).  PT tables: entries with n < 1 - B(d).
     Returns (flagged table, report of the nonzero entries that were zeroed).
     """
-    removed = []
-    if isinstance(table, PtTable):
-        kept = {}
-        for (n, d), v in table.entries.items():
-            if n < 1 - bps_threshold(d):
-                removed.append(((n, d), v))
-            else:
-                kept[(n, d)] = v
-        new = PtTable(kept, table.d_max, table.q_window, castelnuovo_valid=True)
-    elif isinstance(table, GvTable):
-        kept = {}
-        for (g, d), v in table.entries.items():
-            if g > bps_threshold(d):
-                removed.append(((g, d), v))
-            else:
-                kept[(g, d)] = v
-        new = GvTable(kept, table.g_max, table.d_max, castelnuovo_valid=True)
-    else:
+    if not isinstance(table, (GvTable, PtTable)):
         raise TypeError("expected a GV or PT table")
-    removed.sort(key=lambda kv: (kv[0][1], kv[0][0]))
-    return new, VanishingReport("castelnuovo", tuple(removed))
+    kept = {}
+    removed = []
+    for key, v in table.sorted_items():
+        if table.forbids(*key):
+            removed.append((key, v))
+        else:
+            kept[key] = v
+    return (replace(table, entries=kept, castelnuovo_valid=True),
+            VanishingReport("castelnuovo", tuple(removed)))
 
 
 def connected_vanishing_check(F: BivariateSeries
@@ -302,8 +291,7 @@ def connected_vanishing_check(F: BivariateSeries
     """
     bad = []
     for d in range(1, F.t_trunc + 1):
-        threshold = 1 - bps_threshold(d)
         for m, c in F.per_degree[d].terms():
-            if m < threshold:
+            if PtTable.forbids(m, d):
                 bad.append((d, m, c))
     return bad

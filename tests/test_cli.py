@@ -7,7 +7,12 @@ from fractions import Fraction
 
 from curvecount.cli import main
 from curvecount.series import LaurentSeries
-from curvecount.tables import read_table_csv
+from curvecount.tables import (
+    read_table_csv,
+    read_table_json,
+    table_to_csv,
+    table_to_json,
+)
 
 F = Fraction
 
@@ -148,6 +153,37 @@ def test_usage_and_io_errors(tmp_path):
     assert main(["transform", "gv2gw", "--in", bad,
                  "--out", str(tmp_path / "o.csv"),
                  "--gmax", "1", "--dmax", "1"]) == 1
+
+
+def test_short_csv_row_names_file_and_line(tmp_path, capsys):
+    src = write(tmp_path / "gv.csv", "g,d,value\n0,1,1\n0,2\n")
+    rc = main(["transform", "gv2gw", "--in", src,
+               "--out", str(tmp_path / "o.csv"), "--gmax", "1", "--dmax", "2"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: {src}:3: expected 3 fields, got 2\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_duplicate_key_fails_validation_input(tmp_path, capsys):
+    src = write(tmp_path / "gv.csv", "g,d,value\n0,1,5\n0,1,7\n")
+    rc = main(["validate", "--in", src, "--kind", "gv"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {src}:3: duplicate entry (0,1)\n"
+
+
+def test_written_tables_are_the_formatter_text(tmp_path):
+    src = write(tmp_path / "gv.csv", "g,d,value\n0,1,2875\n1,2,-3/2\n")
+    gw = tmp_path / "gw.csv"
+    assert main(["transform", "gv2gw", "--in", src, "--out", str(gw),
+                 "--gmax", "2", "--dmax", "4"]) == 0
+    assert gw.read_text() == table_to_csv(read_table_csv(str(gw), "gw"))
+    pt = tmp_path / "pt.json"
+    assert main(["transform", "gv2pt", "--in", src, "--out", str(pt),
+                 "--dmax", "3", "--qwindow", "-4:6"]) == 0
+    assert pt.read_text() == table_to_json(read_table_json(str(pt)))
 
 
 def test_zero_denominator_is_a_usage_error(capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,9 @@ from curvecount.tables import (
     TruncationError,
     read_table_csv,
     read_table_json,
-    write_table_csv,
-    write_table_json,
+    table_from_json_dict,
+    table_to_csv,
+    table_to_json,
 )
 
 F = Fraction
@@ -39,9 +41,10 @@ def test_pt_window_enforced():
 
 def test_csv_round_trip(tmp_path):
     t = GvTable({(1, 2): F(3), (0, 1): F(-7, 2)}, 4, 6)
+    text = table_to_csv(t)
+    assert text == "g,d,value\n0,1,-7/2\n1,2,3\n"
     p = tmp_path / "gv.csv"
-    write_table_csv(t, str(p))
-    assert p.read_text() == "g,d,value\n0,1,-7/2\n1,2,3\n"
+    p.write_text(text)
     back = read_table_csv(str(p), "gv", g_max=4, d_max=6)
     assert back.entries == t.entries and back.g_max == 4
 
@@ -49,7 +52,7 @@ def test_csv_round_trip(tmp_path):
 def test_json_round_trip(tmp_path):
     t = PtTable({(0, 1): F(2, 3)}, 3, (-5, 5), castelnuovo_valid=True)
     p = tmp_path / "pt.json"
-    write_table_json(t, str(p))
+    p.write_text(table_to_json(t))
     back = read_table_json(str(p))
     assert back == t
 
@@ -77,3 +80,30 @@ def test_castelnuovo_flag_enforced_on_construction():
     # boundary entries are allowed: g = B(5) = 6 and n = 1 - B(20) = -50
     GvTable({(6, 5): F(10)}, 9, 6, castelnuovo_valid=True)
     PtTable({(-50, 20): F(175)}, 20, (-60, 0), castelnuovo_valid=True)
+    # the (g, d) = (51, 20) boundary: B(20) = 51 exactly
+    GvTable({(51, 20): F(175)}, 53, 20, castelnuovo_valid=True)
+    with pytest.raises(ValueError, match="threshold"):
+        GvTable({(52, 20): F(1)}, 53, 20, castelnuovo_valid=True)
+
+
+def test_csv_errors_name_file_and_line(tmp_path):
+    p = tmp_path / "bad.csv"
+    for row, why in [("0,1", "expected 3 fields, got 2"),
+                     ("0,1,2,3", "expected 3 fields, got 4"),
+                     ("x,1,2", "invalid literal"),
+                     ("0,1,2/x", "Invalid literal for Fraction"),
+                     ("0,1,1/0", "Fraction(1, 0)")]:
+        p.write_text(f"g,d,value\n0,2,1\n\n{row}\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{p}:4: {why}")):
+            read_table_csv(str(p), "gv")
+
+
+def test_duplicate_keys_rejected(tmp_path):
+    p = tmp_path / "dup.csv"
+    p.write_text("g,d,value\n0,1,5\n0,1,7\n")
+    with pytest.raises(ValueError, match=r"dup.csv:3: duplicate entry \(0,1\)"):
+        read_table_csv(str(p), "gv")
+    d = {"kind": "gv", "d_max": 1, "g_max": 0,
+         "entries": [[0, 1, "5"], [0, 1, "7"]]}
+    with pytest.raises(ValueError, match=r"duplicate entry \(0,1\)"):
+        table_from_json_dict(d)

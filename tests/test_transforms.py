@@ -324,6 +324,11 @@ def test_vanishing_clean_table():
     assert report.clean and flagged.entries == gv.entries
 
 
+def test_vanishing_rejects_gw_tables():
+    with pytest.raises(TypeError):
+        apply_castelnuovo_vanishing(GwTable({(9, 1): F(1)}, 9, 1))
+
+
 # -- connected vanishing check -------------------------------------------
 
 def rand_castelnuovo_gv(rng: random.Random, d_max: int) -> GvTable:
