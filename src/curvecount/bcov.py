@@ -8,7 +8,9 @@ pivots because Y^k = Delta^{-k}(1 + O(Delta))), and the remaining
 floor((2g-2)/5) middle coefficients come from low-degree data by matching
 q^0..q^E against the basis (1 - 5^5 q)^k (triangular with pivots
 (-5^5)^k).  The frames delta(q), Delta(delta) and the low-degree data are
-external inputs; only the solves live here.
+external inputs; only the solves live here.  A ConifoldFrame derives
+Y = 1 + 1/delta(Delta) once and builds each power of Y at most once, so
+gap solves at several genera on one frame share their products.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .series import (
     LaurentSeries,
     WindowError,
     format_rational,
-    series_compose,
     series_invert,
     series_reversion,
 )
@@ -126,20 +127,16 @@ class HolomorphicAmbiguity:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
 
 
-def _u_over_one_plus_u(trunc: int) -> LaurentSeries:
-    # u/(1+u) = u - u^2 + u^3 - ...
-    return LaurentSeries("delta", 1,
-                         [Fraction((-1) ** (k - 1)) for k in range(1, trunc + 1)],
-                         trunc)
-
-
 @dataclass(frozen=True)
 class ConifoldFrame:
     """Coordinate data near the conifold point.
 
     delta_of_q and Delta_of_delta (with Delta = delta + O(delta^2)) are
-    supplied; Y as a series in Delta is derived from Y^{-1} = delta/(1+delta)
-    through compositional inversion and satisfies Y = Delta^{-1}(1 + O(Delta)).
+    supplied.  Y as a series in Delta is derived from Y^{-1} = delta/(1+delta),
+    that is Y = 1 + 1/delta(Delta) with delta(Delta) the compositional
+    inverse of Delta(delta); it satisfies Y = Delta^{-1}(1 + O(Delta)).  The
+    powers Y^2, Y^3, ... are built once per frame and shared by every gap
+    solve on it; that memo is not a field, so ==, repr and JSON ignore it.
     """
 
     delta_of_q: LaurentSeries
@@ -150,16 +147,30 @@ class ConifoldFrame:
         if delta_to_flat.is_zero or delta_to_flat.min_exp != 1 \
                 or delta_to_flat.coefficient(1) != 1:
             raise ValueError("flat coordinate must satisfy Delta = delta + O(delta^2)")
-        delta_in_flat = series_reversion(delta_to_flat)
-        y_inv = series_compose(_u_over_one_plus_u(delta_to_flat.trunc_order),
-                               delta_in_flat)
-        y = series_invert(y_inv)
-        y = LaurentSeries("Delta", y.min_exp, y.coeffs, y.trunc_order)
+        inv = series_invert(series_reversion(delta_to_flat))
+        y = LaurentSeries("Delta", inv.min_exp, inv.coeffs, inv.trunc_order) \
+            + LaurentSeries.from_dict("Delta", {0: 1}, inv.trunc_order)
         if y.min_exp != -1 or y.coefficient(-1) != 1:
             raise ValueError("derived Y must be Delta^{-1}(1 + O(Delta))")
         object.__setattr__(self, "delta_of_q", delta_of_q)
         object.__setattr__(self, "delta_to_flat", delta_to_flat)
         object.__setattr__(self, "y_of_flat", y)
+        object.__setattr__(self, "_y_power_memo", (None, y))
+
+    def _y_powers(self, n: int) -> tuple:
+        """(None, Y, Y^2, ..., Y^n), extending the frame's memo on demand.
+
+        The memo tuple is replaced by a longer one, never mutated, so a frame
+        stays safe to share across threads.
+        """
+        powers = self._y_power_memo
+        if len(powers) <= n:
+            grown = list(powers)
+            while len(grown) <= n:
+                grown.append(grown[-1] * self.y_of_flat)
+            powers = tuple(grown)
+            object.__setattr__(self, "_y_power_memo", powers)
+        return powers[:n + 1]
 
     @classmethod
     def toy(cls, trunc: int = 24) -> ConifoldFrame:
@@ -200,7 +211,8 @@ def gap_solve(g: int, known_terms: LaurentSeries,
 
     Solves sum_{i=1}^{2g-2} a_{i+g-1} Y^i + known_terms = target Delta^{-(2g-2)}
     modulo Delta^0.  The system is upper triangular with unit pivots since
-    Y^i = Delta^{-i}(1 + O(Delta)); the solution is unique.
+    Y^i = Delta^{-i}(1 + O(Delta)); the solution is unique.  The powers
+    Y^1..Y^(2g-2) come from the frame's memo.
     """
     _check_genus(g)
     width = 2 * g - 2
@@ -212,9 +224,7 @@ def gap_solve(g: int, known_terms: LaurentSeries,
             f"frame Y window too small: need trunc >= {width - 2}")
     if known_terms.variable != y.variable:
         raise ValueError("known terms must be a series in the flat coordinate")
-    powers = [None, y]
-    for i in range(2, width + 1):
-        powers.append(powers[-1] * y)
+    powers = frame._y_powers(width)
     target = gap_target(g)
     x: dict[int, Fraction] = {}
     for j in range(width, 0, -1):

@@ -192,30 +192,39 @@ def _violation_payload(kind: str, items) -> dict:
                            for k, v in items]}
 
 
+def _vanishing(table, reports: list):
+    """Apply the table's threshold law and report the entries it removed."""
+    table, rep = transforms.apply_castelnuovo_vanishing(table)
+    reports.append(_violation_payload(f"castelnuovo-{table.kind}", rep.removed))
+    return table
+
+
+def _integrality(table, reports: list) -> None:
+    reports.append(_violation_payload("integrality",
+                                      transforms.integrality_check(table)))
+
+
+def _failed(reports: list) -> bool:
+    return any(r["violations"] for r in reports)
+
+
 def _run_transform(args) -> int:
     _require(args, "infile", "outfile")
-    violations = []
     reports = []
     if args.direction == "gv2gw":
         _require(args, "gmax", "dmax")
         gv = _read_table(args.infile, "gv", g_max=int(args.gmax), d_max=int(args.dmax))
         if args.apply_castelnuovo:
-            gv, rep = transforms.apply_castelnuovo_vanishing(gv)
-            reports.append(_violation_payload("castelnuovo-gv", rep.removed))
-            violations.extend(rep.removed)
+            gv = _vanishing(gv, reports)
         out = transforms.gv_to_gw(gv, int(args.gmax), int(args.dmax))
     elif args.direction == "gw2gv":
         _require(args, "gmax", "dmax")
         gw = _read_table(args.infile, "gw", g_max=int(args.gmax), d_max=int(args.dmax))
         out = transforms.gw_to_gv(gw, int(args.gmax), int(args.dmax))
         if args.integrality:
-            bad = transforms.integrality_check(out)
-            reports.append(_violation_payload("integrality", bad))
-            violations.extend(bad)
+            _integrality(out, reports)
         if args.apply_castelnuovo:
-            out, rep = transforms.apply_castelnuovo_vanishing(out)
-            reports.append(_violation_payload("castelnuovo-gv", rep.removed))
-            violations.extend(rep.removed)
+            out = _vanishing(out, reports)
     elif args.direction == "gv2pt":
         _require(args, "dmax", "qwindow")
         gv = _read_table(args.infile, "gv", g_max=args.gmax and int(args.gmax),
@@ -224,9 +233,7 @@ def _run_transform(args) -> int:
         connected = transforms.gv_to_pt_connected(gv, int(args.dmax), window)
         out = transforms.pt_connected_to_table(connected)
         if args.apply_castelnuovo:
-            out, rep = transforms.apply_castelnuovo_vanishing(out)
-            reports.append(_violation_payload("castelnuovo-pt", rep.removed))
-            violations.extend(rep.removed)
+            out = _vanishing(out, reports)
     else:  # pt2dt
         _require(args, "dt0")
         window = _parse_window(args.qwindow) if args.qwindow else None
@@ -236,7 +243,7 @@ def _run_transform(args) -> int:
     _write_table(out, args.outfile)
     if args.report:
         _write_json(args.report, {"reports": reports})
-    return EXIT_VALIDATION if violations else EXIT_OK
+    return EXIT_VALIDATION if _failed(reports) else EXIT_OK
 
 
 def _run_bounds(args) -> int:
@@ -331,28 +338,23 @@ def _run_bcov(args) -> int:
 
 def _run_validate(args) -> int:
     _require(args, "infile", "kind")
-    violations = []
     reports = []
     if args.kind == "gv":
         table = _read_table(args.infile, "gv",
                             g_max=args.gmax and int(args.gmax),
                             d_max=args.dmax and int(args.dmax))
         if args.integrality:
-            bad = transforms.integrality_check(table)
-            reports.append(_violation_payload("integrality", bad))
-            violations.extend(bad)
+            _integrality(table, reports)
     else:
         table = _read_table(args.infile, "pt",
                             d_max=args.dmax and int(args.dmax))
     if args.castelnuovo:
-        _, rep = transforms.apply_castelnuovo_vanishing(table)
-        reports.append(_violation_payload(f"castelnuovo-{args.kind}",
-                                          rep.removed))
-        violations.extend(rep.removed)
+        _vanishing(table, reports)
+    failed = _failed(reports)
     payload = {"file": os.path.basename(args.infile), "reports": reports,
-               "passed": not violations}
+               "passed": not failed}
     _write_json(args.report, payload)
-    return EXIT_VALIDATION if violations else EXIT_OK
+    return EXIT_VALIDATION if failed else EXIT_OK
 
 
 _RUNNERS = {

@@ -340,21 +340,28 @@ def _compose_power_series(f: LaurentSeries, m: LaurentSeries) -> LaurentSeries:
 
 
 def series_reversion(m: LaurentSeries) -> LaurentSeries:
-    """Compositional inverse of m = c1*x + ... with c1 != 0.
+    """Compositional inverse of m = c1*x + ... with c1 != 0, on [1, T].
 
-    Determined order by order from m(w(x)) = x.
+    Lagrange inversion: w_n = (1/n) [x^(n-1)] h^n with h = x/m(x).  The
+    coefficients P_k of P = h^n come from J.C.P. Miller's power recurrence
+    P_k = (1/(k h_0)) sum_{j=1..k} ((n+1) j - k) h_j P_{k-j}, needed only
+    up to k = n - 1, so the whole reversion costs O(T^3) operations.
     """
     if m.is_zero or m.min_exp != 1:
         raise ValueError("reversion needs valuation exactly 1")
     T = m.trunc_order
-    c1 = m.coefficient(1)
-    w = [Fraction(0), 1 / c1]
-    for n in range(2, T + 1):
-        # residual coefficient of x^n in m(w(x)) with w_n = 0, then correct.
-        partial = LaurentSeries(m.variable, 0,
-                                w + [Fraction(0)] * (n + 1 - len(w)), n)
-        r = _compose_power_series(m.truncate(n), partial).coefficient(n)
-        w.append(-r / c1)
+    h = m.shift(-1).invert().coeffs  # x/m(x), known on [0, T - 1]
+    h0 = h[0]
+    w = [Fraction(0)] * (T + 1)
+    for n in range(1, T + 1):
+        p = [h0 ** n]
+        for k in range(1, n):
+            s = Fraction(0)
+            for j in range(1, k + 1):
+                if h[j]:
+                    s += ((n + 1) * j - k) * h[j] * p[k - j]
+            p.append(s / (k * h0))
+        w[n] = p[n - 1] / n
     return LaurentSeries(m.variable, 0, w, T)
 
 

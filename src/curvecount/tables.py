@@ -180,6 +180,8 @@ def _build_table(kind: str, entries: dict, *, g_max=None, d_max=None,
             g_max = max(firsts)
         cls = GvTable if kind == "gv" else GwTable
         return cls(entries, g_max, d_max, castelnuovo_valid)
+    if kind != "pt":
+        raise ValueError(f"unknown table kind {kind!r}")
     if q_window is None:
         q_window = (min(firsts), max(firsts))
     return PtTable(entries, d_max, q_window, castelnuovo_valid)
@@ -201,9 +203,19 @@ def table_to_json(table) -> str:
 
 
 def table_from_json_dict(d: dict):
+    return _from_json_dict(d, "")
+
+
+def _from_json_dict(d: dict, where: str):
+    """Table from its JSON form; a bad entry i raises "<where>entry i: ..."."""
     entries: dict[tuple[int, int], Fraction] = {}
-    for a, deg, v in d["entries"]:
-        _add_entry(entries, a, deg, v)
+    for i, entry in enumerate(d["entries"]):
+        try:
+            if not isinstance(entry, list) or len(entry) != 3:
+                raise ValueError(f"expected [key, d, value], got {json.dumps(entry)}")
+            _add_entry(entries, *entry)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{where}entry {i}: {exc}") from None
     return _build_table(
         d["kind"], entries, g_max=d.get("g_max"), d_max=d["d_max"],
         q_window=tuple(d["q_window"]) if "q_window" in d else None,
@@ -211,5 +223,6 @@ def table_from_json_dict(d: dict):
 
 
 def read_table_json(path: str):
+    """Read a JSON table; a bad entry i raises ValueError("<path>: entry i: ...")."""
     with open(path, "r", encoding="utf-8") as fh:
-        return table_from_json_dict(json.load(fh))
+        return _from_json_dict(json.load(fh), f"{path}: ")

@@ -20,7 +20,13 @@ from curvecount.bcov import (
     resolution_plan,
 )
 from curvecount.bernoulli import bernoulli
-from curvecount.series import LaurentSeries, WindowError
+from curvecount.series import (
+    LaurentSeries,
+    WindowError,
+    series_compose,
+    series_invert,
+    series_reversion,
+)
 
 F = Fraction
 
@@ -193,3 +199,73 @@ def test_ambiguity_json():
     assert by_index[0]["status"] == "fixed-regularity"
     assert by_index[2]["value"] == "-1/120"
     assert by_index[3]["value"] is None
+
+
+def _dense_frame(seed: int, trunc: int) -> ConifoldFrame:
+    """Frame with a seeded dense Delta(delta) = delta + sum c_k delta^k."""
+    rng = random.Random(seed)
+    flat = [1] + [F(rng.randint(-5, 5), rng.randint(1, 4))
+                  for _ in range(2, trunc + 1)]
+    return ConifoldFrame(LaurentSeries.one("q", 1),
+                         LaurentSeries("delta", 1, flat, trunc))
+
+
+def test_y_is_the_inverse_of_delta_over_one_plus_delta():
+    # Oracle: the composition definition Y^{-1} = (u/(1+u)) o delta(Delta).
+    for frame in (ConifoldFrame.toy(14), _dense_frame(5, 14)):
+        flat = frame.delta_to_flat
+        T = flat.trunc_order
+        u_over_one_plus_u = LaurentSeries(
+            "delta", 1, [F((-1) ** (k - 1)) for k in range(1, T + 1)], T)
+        y = series_invert(series_compose(u_over_one_plus_u,
+                                         series_reversion(flat)))
+        assert frame.y_of_flat == LaurentSeries("Delta", y.min_exp, y.coeffs,
+                                                y.trunc_order)
+
+
+def test_shared_y_powers_change_no_answer():
+    rng = random.Random(25)
+    frame = _dense_frame(11, 48)
+    before = (frame.to_json_dict(), repr(frame))
+    for g in (25, 23, 24):  # the memo first grows past what 23 and 24 need
+        known = LaurentSeries(
+            "Delta", -(2 * g - 2),
+            [F(rng.randint(-60, 60), rng.randint(1, 9)) for _ in range(2 * g - 1)],
+            0)
+        fresh = ConifoldFrame.from_json_dict(frame.to_json_dict())
+        assert gap_solve(g, known, frame) == gap_solve(g, known, fresh)
+    assert (frame.to_json_dict(), repr(frame)) == before
+    assert frame == ConifoldFrame.from_json_dict(before[0])
+
+
+def test_frame_shared_across_threads():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = random.Random(8)
+    genera = list(range(2, 12))
+    known = {g: LaurentSeries("Delta", -(2 * g - 2),
+                              [F(rng.randint(-9, 9), rng.randint(1, 5))
+                               for _ in range(2 * g - 1)], 0)
+             for g in genera}
+    want = {g: gap_solve(g, known[g], _dense_frame(3, 24)) for g in genera}
+    frame = _dense_frame(3, 24)
+    orders = [genera[k:] + genera[:k] for k in range(0, 10, 2)]
+    orders += [list(reversed(order)) for order in orders]
+
+    def solve_all(order):
+        return [(g, gap_solve(g, known[g], frame)) for g in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+            futures = [pool.submit(solve_all, order) for order in orders]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results:
+        for g, values in result:
+            assert values == want[g]
+    y = frame.y_of_flat
+    assert frame._y_powers(20)[1:] == tuple(y ** i for i in range(1, 21))

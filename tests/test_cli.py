@@ -233,3 +233,16 @@ def test_no_partial_output_on_failure(tmp_path):
                "--dmax", "1", "--qwindow", "-1:5"])
     assert rc == 1
     assert not out.exists()
+
+
+def test_short_json_entry_names_file_and_entry(tmp_path, capsys):
+    src = write(tmp_path / "gw.json",
+                json.dumps({"kind": "gw", "d_max": 1, "g_max": 0,
+                            "entries": [[0, 1]]}))
+    rc = main(["transform", "gw2gv", "--in", src,
+               "--out", str(tmp_path / "o.csv"), "--gmax", "1", "--dmax", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: {src}: entry 0: expected [key, d, value], got [0, 1]\n"
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()

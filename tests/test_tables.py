@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 
@@ -107,3 +108,27 @@ def test_duplicate_keys_rejected(tmp_path):
          "entries": [[0, 1, "5"], [0, 1, "7"]]}
     with pytest.raises(ValueError, match=r"duplicate entry \(0,1\)"):
         table_from_json_dict(d)
+
+
+def test_unknown_kind_rejected(tmp_path):
+    d = {"kind": "xyz", "d_max": 1, "entries": [[0, 1, "1"]]}
+    with pytest.raises(ValueError, match="^unknown table kind 'xyz'$"):
+        table_from_json_dict(d)
+    p = tmp_path / "xyz.json"
+    p.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="unknown table kind 'xyz'"):
+        read_table_json(str(p))
+
+
+def test_json_errors_name_file_and_entry(tmp_path):
+    p = tmp_path / "bad.json"
+    for entry, why in [([0, 1], "expected [key, d, value], got [0, 1]"),
+                       (5, "expected [key, d, value], got 5"),
+                       (["x", 1, "2"], "invalid literal"),
+                       ([0, 1, "1/0"], "Fraction(1, 0)"),
+                       ([0, 1, None], "argument should be")]:
+        p.write_text(json.dumps({"kind": "gw", "d_max": 2, "g_max": 1,
+                                 "entries": [[0, 2, "1"], entry]}))
+        with pytest.raises(ValueError,
+                           match="^" + re.escape(f"{p}: entry 1: {why}")):
+            read_table_json(str(p))
