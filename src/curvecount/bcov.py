@@ -15,7 +15,6 @@ gap solves at several genera on one frame share their products.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -122,9 +121,6 @@ class HolomorphicAmbiguity:
                  "status": s}
                 for i, (c, s) in enumerate(zip(self.coeffs, self.status))],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
 
 
 @dataclass(frozen=True)
@@ -346,9 +342,6 @@ class ResolutionPlan:
                 {"d": d, "value": v} for d, v in self.supplements],
             "status": self.status,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
 
 
 def first_open_genus(g_limit: int = 200) -> int | None:

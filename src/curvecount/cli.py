@@ -6,8 +6,8 @@ exact "p/q" strings; identical configuration and inputs produce byte-identical
 outputs.  Exit codes: 0 clean, 1 usage/IO/parse error, 2 validation failure.
 ``_atomic_write`` is the one file writer: it writes a temporary sibling and
 renames it atomically, so failures never leave partial files.  Table text
-comes from ``tables``.  An optional ``key = value`` config file supplies
-defaults; explicit flags win.
+comes from ``tables``.  An optional config file of ``key = value`` lines
+(keys are long option names) supplies defaults; explicit flags win.
 """
 
 from __future__ import annotations
@@ -98,23 +98,24 @@ def _parse_window(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset options from a ``key = value`` file; flags win."""
-    path = getattr(args, "config", None)
-    if not path:
-        return args
-    with open(path, "r", encoding="utf-8") as fh:
+def _with_config(argv: list[str], args: argparse.Namespace) -> list[str]:
+    """argv with ``--key=value`` for each ``key = value`` config line.
+
+    The tokens go right after the (sub)command, so argparse types and checks
+    them like any flag and the explicit flags that follow win.
+    """
+    tokens = []
+    with open(args.config, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if not hasattr(args, key):
-                raise ValueError(f"unknown config key {key!r}")
-            if getattr(args, key) is None:
-                setattr(args, key, value.strip())
-    return args
+            if line:
+                key, _, value = line.partition("=")
+                tokens.append(f"--{key.strip()}={value.strip()}")
+    at = 0
+    while argv[at].startswith("-"):  # --config PATH or --config=PATH
+        at += 1 if "=" in argv[at] else 2
+    at += 2 if hasattr(args, "action") else 1
+    return argv[:at] + tokens + argv[at:]
 
 
 def _require(args, *names) -> None:
@@ -213,32 +214,30 @@ def _run_transform(args) -> int:
     reports = []
     if args.direction == "gv2gw":
         _require(args, "gmax", "dmax")
-        gv = _read_table(args.infile, "gv", g_max=int(args.gmax), d_max=int(args.dmax))
+        gv = _read_table(args.infile, "gv", g_max=args.gmax, d_max=args.dmax)
         if args.apply_castelnuovo:
             gv = _vanishing(gv, reports)
-        out = transforms.gv_to_gw(gv, int(args.gmax), int(args.dmax))
+        out = transforms.gv_to_gw(gv, args.gmax, args.dmax)
     elif args.direction == "gw2gv":
         _require(args, "gmax", "dmax")
-        gw = _read_table(args.infile, "gw", g_max=int(args.gmax), d_max=int(args.dmax))
-        out = transforms.gw_to_gv(gw, int(args.gmax), int(args.dmax))
+        gw = _read_table(args.infile, "gw", g_max=args.gmax, d_max=args.dmax)
+        out = transforms.gw_to_gv(gw, args.gmax, args.dmax)
         if args.integrality:
             _integrality(out, reports)
         if args.apply_castelnuovo:
             out = _vanishing(out, reports)
     elif args.direction == "gv2pt":
         _require(args, "dmax", "qwindow")
-        gv = _read_table(args.infile, "gv", g_max=args.gmax and int(args.gmax),
-                         d_max=int(args.dmax))
+        gv = _read_table(args.infile, "gv", g_max=args.gmax, d_max=args.dmax)
         window = _parse_window(args.qwindow)
-        connected = transforms.gv_to_pt_connected(gv, int(args.dmax), window)
+        connected = transforms.gv_to_pt_connected(gv, args.dmax, window)
         out = transforms.pt_connected_to_table(connected)
         if args.apply_castelnuovo:
             out = _vanishing(out, reports)
     else:  # pt2dt
         _require(args, "dt0")
         window = _parse_window(args.qwindow) if args.qwindow else None
-        pt = _read_table(args.infile, "pt", q_window=window,
-                         d_max=args.dmax and int(args.dmax))
+        pt = _read_table(args.infile, "pt", q_window=window, d_max=args.dmax)
         out = transforms.pt_to_dt(pt, _load_series(args.dt0))
     _write_table(out, args.outfile)
     if args.report:
@@ -249,7 +248,7 @@ def _run_transform(args) -> int:
 def _run_bounds(args) -> int:
     if args.action == "table":
         _require(args, "n", "i", "dmax")
-        n, i, dmax = int(args.n), int(args.i), int(args.dmax)
+        n, i, dmax = args.n, args.i, args.dmax
         profile = bounds_mod.ThreefoldProfile.general(n, i)
         quintic = (n, i) == (5, 0)
         cols = ["d", "general", "general_floor"]
@@ -278,7 +277,7 @@ def _run_bounds(args) -> int:
         _write_out(args.outfile, "\n".join(lines) + "\n")
         return EXIT_OK
     if args.what == "corollary":
-        rep = bounds_mod.castelnuovo_corollary_check(int(args.gmax))
+        rep = bounds_mod.castelnuovo_corollary_check(args.gmax)
         payload = {
             "check": "castelnuovo-corollary",
             "g_max": rep.g_max,
@@ -289,8 +288,7 @@ def _run_bounds(args) -> int:
         }
         _write_json(args.outfile, payload)
         return EXIT_OK if rep.passed else EXIT_VALIDATION
-    rep = bounds_mod.bound_function_properties(int(args.dmax), int(args.rmax),
-                                               int(args.parts))
+    rep = bounds_mod.bound_function_properties(args.dmax, args.rmax, args.parts)
     payload = {
         "check": "bound-function-properties",
         "partitions_checked": rep.partitions_checked,
@@ -307,7 +305,7 @@ def _run_bounds(args) -> int:
 
 def _run_walls(args) -> int:
     _require(args, "n", "d", "b")
-    cands = enumerate_destabilizers(int(args.n), int(args.d), Fraction(args.b))
+    cands = enumerate_destabilizers(args.n, args.d, Fraction(args.b))
     lines = ["k,d1,center_b,radius_sq"]
     for c in cands:
         lines.append(f"{c.k},{c.d1},{format_rational(c.wall.center_b)},"
@@ -321,7 +319,7 @@ def _run_walls(args) -> int:
 
 def _run_bcov(args) -> int:
     _require(args, "g")
-    g = int(args.g)
+    g = args.g
     if args.action == "plan":
         _write_json(args.outfile, bcov_mod.resolution_plan(g).to_json_dict())
         return EXIT_OK
@@ -340,14 +338,13 @@ def _run_validate(args) -> int:
     _require(args, "infile", "kind")
     reports = []
     if args.kind == "gv":
-        table = _read_table(args.infile, "gv",
-                            g_max=args.gmax and int(args.gmax),
-                            d_max=args.dmax and int(args.dmax))
+        table = _read_table(args.infile, "gv", g_max=args.gmax,
+                            d_max=args.dmax)
         if args.integrality:
             _integrality(table, reports)
     else:
         table = _read_table(args.infile, "pt",
-                            d_max=args.dmax and int(args.dmax))
+                            d_max=args.dmax)
     if args.castelnuovo:
         _vanishing(table, reports)
     failed = _failed(reports)
@@ -389,7 +386,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = _joined_window_args(list(argv))
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(args)
+        if args.config:
+            args = parser.parse_args(_with_config(argv, args))
         return _RUNNERS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

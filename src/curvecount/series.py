@@ -247,41 +247,22 @@ class LaurentSeries:
         return LaurentSeries(self.variable, -a, out, self.trunc_order - 2 * a)
 
     def log(self) -> LaurentSeries:
-        """log(f) for f with constant term 1; result has valuation >= 1.
-
-        Uses f * g' = f' for g = log f:  g_n = f_n - (1/n) sum_{k<n} k g_k f_{n-k}.
-        """
+        """log(f) for f with constant term 1; result has valuation >= 1."""
         if self.is_zero or self.min_exp != 0 or self.coeffs[0] != 1:
             raise ValueError("series_log requires constant term 1")
         T = self.trunc_order
-        f = [self.coefficient(e) for e in range(0, T + 1)]
-        g = [Fraction(0)] * (T + 1)
-        for n in range(1, T + 1):
-            s = Fraction(0)
-            for k in range(1, n):
-                s += k * g[k] * f[n - k]
-            g[n] = f[n] - s / n
-        return LaurentSeries(self.variable, 0, g, T)
+        g = _log_terms([self.coefficient(e) for e in range(0, T + 1)])
+        return LaurentSeries(self.variable, 0, [0] + g, T)
 
     def exp(self) -> LaurentSeries:
-        """exp(f) for f with zero constant term (valuation >= 1).
-
-        Uses g' = f' * g for g = exp f:  g_n = (1/n) sum_{k=1..n} k f_k g_{n-k}.
-        """
+        """exp(f) for f with zero constant term (valuation >= 1)."""
         if self.trunc_order < 0:
             raise WindowError("exp needs the window to reach exponent 0")
         if self.min_exp < 1 and not self.is_zero:
             raise ValueError("series_exp requires zero constant term")
         T = self.trunc_order
-        f = [self.coefficient(e) for e in range(0, T + 1)]
-        g = [Fraction(0)] * (T + 1)
-        g[0] = Fraction(1)
-        for n in range(1, T + 1):
-            s = Fraction(0)
-            for k in range(1, n + 1):
-                s += k * f[k] * g[n - k]
-            g[n] = s / n
-        return LaurentSeries(self.variable, 0, g, T)
+        g = _exp_terms([self.coefficient(e) for e in range(0, T + 1)])
+        return LaurentSeries(self.variable, 0, [1] + g, T)
 
     # -- serialization -------------------------------------------------
 
@@ -312,6 +293,35 @@ class LaurentSeries:
         else:
             body = " + ".join(f"({c})*{self.variable}^{e}" for e, c in ts)
         return f"{body} + O({self.variable}^{self.trunc_order + 1})"
+
+
+def _log_terms(f: list) -> list:
+    """[g_1, ..., g_T] for g = log f, taking f_0 = 1 exactly (f[0] unread).
+
+    f g' = f' gives g_n = f_n - sum_{0<k<n} (g_k f_{n-k}) k/n.  A term is a
+    Fraction or a t-layer (LaurentSeries) of a bivariate series.
+    """
+    g = [None]
+    for n in range(1, len(f)):
+        acc = f[n]
+        for k in range(1, n):
+            acc = acc - Fraction(k, n) * (g[k] * f[n - k])
+        g.append(acc)
+    return g[1:]
+
+
+def _exp_terms(f: list) -> list:
+    """[g_1, ..., g_T] for g = exp f, taking g_0 = 1 exactly (f[0] unread).
+
+    g' = f' g gives g_n = f_n + sum_{0<k<n} (f_k g_{n-k}) k/n.
+    """
+    g = [None]
+    for n in range(1, len(f)):
+        acc = f[n]
+        for k in range(1, n):
+            acc = acc + Fraction(k, n) * (f[k] * g[n - k])
+        g.append(acc)
+    return g[1:]
 
 
 def _compose_power_series(f: LaurentSeries, m: LaurentSeries) -> LaurentSeries:
@@ -411,13 +421,8 @@ class BivariateSeries:
         if p0.min_exp != 0 or p0.coefficient(0) != 1 or any(
                 c for c in p0.coeffs[1:]):
             raise ValueError("bivariate log requires degree-0 layer == 1")
-        out = [LaurentSeries.zero(self.variable, p0.trunc_order)]
-        for d in range(1, self.t_trunc + 1):
-            acc = self.per_degree[d]
-            for k in range(1, d):
-                acc = acc - (out[k] * self.per_degree[d - k]).scale(Fraction(k, d))
-            out.append(acc)
-        return BivariateSeries(out)
+        zero = LaurentSeries.zero(self.variable, p0.trunc_order)
+        return BivariateSeries([zero] + _log_terms(self.per_degree))
 
     def exp(self) -> BivariateSeries:
         """exp of a connected series (degree-0 layer zero)."""
@@ -426,13 +431,8 @@ class BivariateSeries:
             raise ValueError("bivariate exp requires zero degree-0 layer")
         if f0.trunc_order < 0:
             raise WindowError("degree-0 window must reach exponent 0")
-        out = [LaurentSeries.one(self.variable, f0.trunc_order)]
-        for d in range(1, self.t_trunc + 1):
-            acc = self.per_degree[d]
-            for k in range(1, d):
-                acc = acc + (self.per_degree[k] * out[d - k]).scale(Fraction(k, d))
-            out.append(acc)
-        return BivariateSeries(out)
+        one = LaurentSeries.one(self.variable, f0.trunc_order)
+        return BivariateSeries([one] + _exp_terms(self.per_degree))
 
     def compose_t(self, m: LaurentSeries) -> BivariateSeries:
         """Reparametrize the t-axis by t := m (valuation exactly 1).

@@ -129,7 +129,11 @@ class PtTable(_Table):
 _FIRST_COLUMN = {"gv": "g", "gw": "g", "pt": "n"}
 
 
-def _add_entry(entries: dict, a: str, d: str, v: str) -> None:
+def _add_entry(entries: dict, a, d, v) -> None:
+    """Add one row: integer keys and an exact value, or their CSV text."""
+    if any(isinstance(x, (bool, float)) for x in (a, d, v)):
+        raise ValueError("expected integer keys and an exact value, "
+                         f"got {json.dumps([a, d, v])}")
     key = (int(a), int(d))
     if key in entries:
         raise ValueError(f"duplicate entry ({key[0]},{key[1]})")
@@ -180,8 +184,6 @@ def _build_table(kind: str, entries: dict, *, g_max=None, d_max=None,
             g_max = max(firsts)
         cls = GvTable if kind == "gv" else GwTable
         return cls(entries, g_max, d_max, castelnuovo_valid)
-    if kind != "pt":
-        raise ValueError(f"unknown table kind {kind!r}")
     if q_window is None:
         q_window = (min(firsts), max(firsts))
     return PtTable(entries, d_max, q_window, castelnuovo_valid)
@@ -207,9 +209,17 @@ def table_from_json_dict(d: dict):
 
 
 def _from_json_dict(d: dict, where: str):
-    """Table from its JSON form; a bad entry i raises "<where>entry i: ..."."""
+    """Table from its JSON form; every error message starts with ``where``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where}expected a JSON object")
+    try:
+        kind, d_max, rows = d["kind"], d["d_max"], d["entries"]
+    except KeyError as exc:
+        raise ValueError(f"{where}missing key {exc}") from None
+    if kind not in ("gv", "gw", "pt"):
+        raise ValueError(f"{where}unknown table kind {kind!r}")
     entries: dict[tuple[int, int], Fraction] = {}
-    for i, entry in enumerate(d["entries"]):
+    for i, entry in enumerate(rows):
         try:
             if not isinstance(entry, list) or len(entry) != 3:
                 raise ValueError(f"expected [key, d, value], got {json.dumps(entry)}")
@@ -217,12 +227,12 @@ def _from_json_dict(d: dict, where: str):
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{where}entry {i}: {exc}") from None
     return _build_table(
-        d["kind"], entries, g_max=d.get("g_max"), d_max=d["d_max"],
+        kind, entries, g_max=d.get("g_max"), d_max=d_max,
         q_window=tuple(d["q_window"]) if "q_window" in d else None,
         castelnuovo_valid=bool(d.get("castelnuovo_valid", False)))
 
 
 def read_table_json(path: str):
-    """Read a JSON table; a bad entry i raises ValueError("<path>: entry i: ...")."""
+    """Read a JSON table; errors raise ValueError("<path>: ...")."""
     with open(path, "r", encoding="utf-8") as fh:
         return _from_json_dict(json.load(fh), f"{path}: ")

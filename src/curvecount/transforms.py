@@ -79,49 +79,42 @@ def _require_window(table, g_out: int, d_out: int) -> None:
             f"g<={table.g_max}, d<={table.d_max}")
 
 
+def _cover_sum(values: dict, g: int, d: int, lam_trunc: int) -> Fraction:
+    """sum_{r | d} sum_{g' <= g} (n_{g'}^{d/r} / r) [lam^(2g-2)] K_{g',r}."""
+    total = Fraction(0)
+    for r in range(1, d + 1):
+        if d % r:
+            continue
+        for gp in range(g + 1):
+            val = values.get((gp, d // r))
+            if val:
+                c = _cover_kernel(r, gp, lam_trunc).coefficient(2 * g - 2)
+                if c:
+                    total += val * c / r
+    return total
+
+
 def gv_to_gw(gv: GvTable, g_out: int, d_out: int) -> GwTable:
     """GW table on g <= g_out, d <= d_out from a GV table covering it."""
     _require_window(gv, g_out, d_out)
     lam_trunc = 2 * g_out - 2
-    acc: dict[tuple[int, int], Fraction] = {}
-    for (gp, dp), val in gv.entries.items():
-        if 1 <= gp and gp > g_out:
-            continue  # kernel starts above lam^(2*g_out - 2)
-        r = 1
-        while r * dp <= d_out:
-            kernel = _cover_kernel(r, gp, lam_trunc)
-            for g in range(gp if gp > 0 else 0, g_out + 1):
-                c = kernel.coefficient(2 * g - 2)
-                if c:
-                    key = (g, r * dp)
-                    acc[key] = acc.get(key, Fraction(0)) + val * c / r
-            r += 1
-    return GwTable(acc, g_out, d_out)
+    out = {(g, d): _cover_sum(gv.entries, g, d, lam_trunc)
+           for d in range(1, d_out + 1) for g in range(g_out + 1)}
+    return GwTable(out, g_out, d_out)
 
 
 def gw_to_gv(gw: GwTable, g_out: int, d_out: int) -> GvTable:
-    """Triangular inversion of gv_to_gw (degrees ascending, genus ascending)."""
+    """Triangular inversion of gv_to_gw (degrees ascending, genus ascending).
+
+    Cell (g, d) is not in ``out`` yet, so the cover sum over ``out`` misses
+    exactly its own diagonal term, whose coefficient is 1.
+    """
     _require_window(gw, g_out, d_out)
     lam_trunc = 2 * g_out - 2
     out: dict[tuple[int, int], Fraction] = {}
     for d in range(1, d_out + 1):
-        divisors = [r for r in range(1, d + 1) if d % r == 0]
-        for g in range(0, g_out + 1):
-            corr = Fraction(0)
-            for r in divisors:
-                dp = d // r
-                for gp in range(0, g + 1):
-                    if (r, gp) == (1, g):
-                        continue  # the diagonal term being solved for
-                    val = out.get((gp, dp))
-                    if not val:
-                        continue
-                    c = _cover_kernel(r, gp, lam_trunc).coefficient(2 * g - 2)
-                    if c:
-                        corr += val * c / r
-            n_gd = gw.value(g, d) - corr
-            if n_gd:
-                out[(g, d)] = n_gd
+        for g in range(g_out + 1):
+            out[(g, d)] = gw.value(g, d) - _cover_sum(out, g, d, lam_trunc)
     return GvTable(out, g_out, d_out)
 
 
@@ -217,9 +210,11 @@ def pt_table_to_connected(pt: PtTable) -> BivariateSeries:
     """Logarithm of the generating series 1 + sum P_{n,d} q^n t^d.
 
     The window floor is read as a completeness claim: no support below n_min.
+    The degree-0 layer is exactly 1, so its window reaches q^0 even when the
+    table's ends below it.
     """
     n_max = pt.q_window[1]
-    layers = [LaurentSeries.one("q", n_max)]
+    layers = [LaurentSeries.one("q", max(n_max, 0))]
     for d in range(1, pt.d_max + 1):
         terms = {n: v for (n, dd), v in pt.entries.items() if dd == d}
         layers.append(LaurentSeries.from_dict("q", terms, n_max))

@@ -225,6 +225,49 @@ def test_config_file_defaults(tmp_path):
     assert read_table_csv(str(out), "gw").d_max == 3
 
 
+def test_config_reaches_options_with_defaults(tmp_path):
+    cfg = write(tmp_path / "cc.conf", "gmax = 10  # below the default 53\n")
+    out = tmp_path / "c.json"
+    assert main(["--config", cfg, "bounds", "check", "corollary",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["g_max"] == 10
+    cfg = write(tmp_path / "p.conf", "dmax = 2\n")
+    assert main([f"--config={cfg}", "bounds", "check", "properties",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["partitions_checked"] == 1
+
+
+def test_config_values_are_checked_like_flags(tmp_path, capsys):
+    src = write(tmp_path / "gv.csv", "g,d,value\n0,1,1\n")
+    for line, argv, why in [
+            ("kind = xyz", ["validate", "--in", src],
+             "argument --kind: invalid choice: 'xyz'"),
+            ("integrality = true", ["validate", "--in", src, "--kind", "gv"],
+             "argument --integrality: ignored explicit argument 'true'"),
+            ("what = properties", ["bounds", "check", "corollary"],
+             "unrecognized arguments: --what=properties"),
+            ("gmax = ten", ["bounds", "check", "corollary"],
+             "argument --gmax: invalid int value: 'ten'")]:
+        cfg = write(tmp_path / "cc.conf", line + "\n")
+        assert main(["--config", cfg] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {why}" in captured.err
+
+
+def test_config_keys_are_long_option_names(tmp_path, capsys):
+    src = write(tmp_path / "gv.csv", "g,d,value\n1,1,1\n")
+    out = tmp_path / "gw.csv"
+    cfg = write(tmp_path / "cc.conf", f"in = {src}\ngmax = 2\ndmax = 6\n")
+    assert main(["--config", cfg, "transform", "gv2gw",
+                 "--out", str(out)]) == 0
+    assert read_table_csv(str(out), "gw").value(1, 6) == F(1, 6)
+    cfg = write(tmp_path / "old.conf", f"infile = {src}\n")
+    assert main(["--config", cfg, "transform", "gv2gw", "--out", str(out),
+                 "--gmax", "2", "--dmax", "6"]) == 1
+    assert "unrecognized arguments: --infile=" in capsys.readouterr().err
+
+
 def test_no_partial_output_on_failure(tmp_path):
     src = write(tmp_path / "gv.csv", "g,d,value\n3,1,1\n")
     out = tmp_path / "pt.csv"
@@ -246,3 +289,30 @@ def test_short_json_entry_names_file_and_entry(tmp_path, capsys):
     assert err == f"error: {src}: entry 0: expected [key, d, value], got [0, 1]\n"
     assert "Traceback" not in err
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_float_json_entry_is_a_usage_error(tmp_path, capsys):
+    src = write(tmp_path / "gw.json",
+                json.dumps({"kind": "gw", "d_max": 2, "g_max": 0,
+                            "entries": [[0, 1.7, 0.1]]}))
+    out = tmp_path / "o.csv"
+    rc = main(["transform", "gw2gv", "--in", src, "--out", str(out),
+               "--gmax", "0", "--dmax", "2"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"error: {src}: entry 0: expected integer keys and an "
+                   "exact value, got [0, 1.7, 0.1]\n")
+    assert not out.exists()
+
+
+def test_json_table_errors_name_the_file(tmp_path, capsys):
+    for table, why in [({"kind": "gw", "d_max": 1, "g_max": 0},
+                        "missing key 'entries'"),
+                       ({"kind": "xyz", "d_max": 1, "entries": []},
+                        "unknown table kind 'xyz'")]:
+        src = write(tmp_path / "t.json", json.dumps(table))
+        rc = main(["transform", "gw2gv", "--in", src,
+                   "--out", str(tmp_path / "o.csv"),
+                   "--gmax", "0", "--dmax", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {src}: {why}\n"

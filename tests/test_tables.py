@@ -132,3 +132,35 @@ def test_json_errors_name_file_and_entry(tmp_path):
         with pytest.raises(ValueError,
                            match="^" + re.escape(f"{p}: entry 1: {why}")):
             read_table_json(str(p))
+
+
+def test_json_floats_and_bools_rejected(tmp_path):
+    p = tmp_path / "bad.json"
+    for entry in ([0, 1.7, "1"], [0, 1, 0.1], [0, 1, 2.0], [True, 1, "1"],
+                  [0, 1, False]):
+        p.write_text(json.dumps({"kind": "gw", "d_max": 2, "g_max": 1,
+                                 "entries": [entry]}))
+        why = ("expected integer keys and an exact value, "
+               f"got {json.dumps(entry)}")
+        with pytest.raises(ValueError,
+                           match="^" + re.escape(f"{p}: entry 0: {why}") + "$"):
+            read_table_json(str(p))
+    # integers and exact text still read
+    p.write_text(json.dumps({"kind": "gw", "d_max": 2, "g_max": 1,
+                             "entries": [[0, 1, 3], [1, 2, "-1/2"]]}))
+    assert read_table_json(str(p)).entries == {(0, 1): 3, (1, 2): F(-1, 2)}
+
+
+def test_json_metadata_errors_name_the_file(tmp_path):
+    p = tmp_path / "meta.json"
+    full = {"kind": "gv", "d_max": 1, "g_max": 0, "entries": [[0, 1, "1"]]}
+    cases = [({k: v for k, v in full.items() if k != key}, f"missing key '{key}'")
+             for key in ("kind", "d_max", "entries")]
+    cases += [(dict(full, kind="xyz"), "unknown table kind 'xyz'"),
+              ([full], "expected a JSON object")]
+    for doc, why in cases:
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="^" + re.escape(f"{p}: {why}") + "$"):
+            read_table_json(str(p))
+    with pytest.raises(ValueError, match="^missing key 'entries'$"):
+        table_from_json_dict(cases[2][0])

@@ -230,6 +230,18 @@ def test_single_connected_entry_exponentiates():
     assert pt.value(2, 2) == F(25, 2)
 
 
+def test_log_of_a_table_whose_window_ends_below_zero():
+    # F_1 = q^-1 on [-1, 0] exponentiates to a table on the window [-2, -1]
+    layers = [LaurentSeries.zero("q", 0), LaurentSeries("q", -1, [1, 0], 0),
+              LaurentSeries.zero("q", 0)]
+    pt = pt_connected_to_table(BivariateSeries(layers))
+    assert pt.q_window == (-2, -1)
+    assert pt.value(-2, 2) == F(1, 2)
+    back = pt_table_to_connected(pt)
+    assert back.per_degree[1] == LaurentSeries("q", -1, [1], -1)
+    assert back.per_degree[2] == LaurentSeries.zero("q", -2)
+
+
 def test_table_series_round_trip():
     rng = random.Random(99)
     for _ in range(10):
