@@ -44,7 +44,6 @@ from .series import (
     VariableMismatchError,
     WindowError,
     series_compose,
-    series_compose_t,
     series_exp,
     series_invert,
     series_log,

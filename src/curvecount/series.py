@@ -33,7 +33,6 @@ __all__ = [
     "series_log",
     "series_exp",
     "series_compose",
-    "series_compose_t",
     "series_reversion",
     "format_rational",
     "parse_rational",
@@ -434,40 +433,6 @@ class BivariateSeries:
         one = LaurentSeries.one(self.variable, f0.trunc_order)
         return BivariateSeries([one] + _exp_terms(self.per_degree))
 
-    def compose_t(self, m: LaurentSeries) -> BivariateSeries:
-        """Reparametrize the t-axis by t := m (valuation exactly 1).
-
-        The new degree-e layer is sum_d per_degree[d] * [x^e] m(x)^d; the
-        result is graded by m's variable and truncated at
-        min(m.trunc_order, t_trunc).
-        """
-        if not m.is_zero and m.min_exp <= 0:
-            raise ValueError("substitution series has terms below exponent 1")
-        elif m.is_zero or m.min_exp != 1:
-            raise ValueError("substitution series needs valuation exactly 1")
-        out_trunc = min(m.trunc_order, self.t_trunc)
-        default_t = min(e.trunc_order for e in self.per_degree)
-        powers = []
-        power = LaurentSeries.one(m.variable, m.trunc_order)
-        for _ in range(self.t_trunc):
-            power = power * m
-            powers.append(power)
-        layers = []
-        for e in range(out_trunc + 1):
-            acc = None
-            if e == 0:
-                acc = self.per_degree[0]
-            for d in range(1, self.t_trunc + 1):
-                c = powers[d - 1].coefficient(e) if e >= d else Fraction(0)
-                if not c:
-                    continue
-                term = self.per_degree[d].scale(c)
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = LaurentSeries.zero(self.variable, default_t)
-            layers.append(acc)
-        return BivariateSeries(layers)
-
 
 # -- spec-facing operation names --------------------------------------
 
@@ -492,7 +457,3 @@ def series_exp(f):
 def series_compose(f: LaurentSeries, m: LaurentSeries) -> LaurentSeries:
     """Univariate substitution f(m(x)); m must have valuation >= 1."""
     return _compose_power_series(f, m)
-
-
-def series_compose_t(f: BivariateSeries, m: LaurentSeries) -> BivariateSeries:
-    return f.compose_t(m)

@@ -218,6 +218,20 @@ def _from_json_dict(d: dict, where: str):
         raise ValueError(f"{where}missing key {exc}") from None
     if kind not in ("gv", "gw", "pt"):
         raise ValueError(f"{where}unknown table kind {kind!r}")
+    g_max, q_window = d.get("g_max"), d.get("q_window")
+    valid = d.get("castelnuovo_valid", False)
+    for key, value, ok, want in [
+            ("entries", rows, isinstance(rows, list), "a list"),
+            ("d_max", d_max, _is_int(d_max), "an integer"),
+            ("g_max", g_max, g_max is None or _is_int(g_max), "an integer"),
+            ("q_window", q_window, q_window is None or (
+                isinstance(q_window, list) and len(q_window) == 2
+                and all(map(_is_int, q_window))), "a list of 2 integers"),
+            ("castelnuovo_valid", valid, isinstance(valid, bool),
+             "true or false")]:
+        if not ok:
+            raise ValueError(f"{where}{key} must be {want}, "
+                             f"got {json.dumps(value)}")
     entries: dict[tuple[int, int], Fraction] = {}
     for i, entry in enumerate(rows):
         try:
@@ -227,12 +241,20 @@ def _from_json_dict(d: dict, where: str):
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{where}entry {i}: {exc}") from None
     return _build_table(
-        kind, entries, g_max=d.get("g_max"), d_max=d_max,
-        q_window=tuple(d["q_window"]) if "q_window" in d else None,
-        castelnuovo_valid=bool(d.get("castelnuovo_valid", False)))
+        kind, entries, g_max=g_max, d_max=d_max,
+        q_window=tuple(q_window) if q_window is not None else None,
+        castelnuovo_valid=valid)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def read_table_json(path: str):
     """Read a JSON table; errors raise ValueError("<path>: ...")."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _from_json_dict(json.load(fh), f"{path}: ")
+        try:
+            d = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return _from_json_dict(d, f"{path}: ")

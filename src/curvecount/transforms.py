@@ -1,18 +1,17 @@
 """Transforms between GW, GV, connected-PT, PT, and DT data.
 
-The GW/GV dictionary expands every GV entry through its multiple covers:
+The GW/GV dictionary (Gopakumar-Vafa) expands every GV entry through its
+multiple covers.  With K_{g'} = (2 sin(lam/2))^(2g'-2) = (2 - 2cos lam)^(g'-1)
+(a Laurent series at g' = 0) and the genus matrix
+M[g][g'] = [lam^(2g-2)] K_{g'}, the r-fold cover has
+[lam^(2g-2)] (2 sin(r lam/2))^(2g'-2) = r^(2g-2) M[g][g'], so the dictionary
+is one matrix and one divisor sum:
 
-    N_{g,d} = sum_{r | d} sum_{g'} (n_{g'}^{d/r} / r) [lam^(2g-2)] K_{g',r}
+    N_{g,d} = sum_{r | d} r^(2g-3) v_{d/r}[g],    v_{d'} = M n_{., d'}
 
-with kernel K_{g',r} = (2 sin(r lam / 2))^(2g'-2) = (2 - 2cos(r lam))^(g'-1),
-an honest Laurent series at g' = 0 (lowest exponent -2).  Two identities
-build every kernel from one power of 2 - 2cos(lam) per genus:
-
-    K_{g',r}(lam) = K_{g',1}(r lam)    ([lam^e] scales by r^e; r^-2 at g' = 0)
-    K_{g',1} = K_{g'-1,1} * (2 - 2cos lam)    (g' >= 3, truncated at lam_trunc)
-
-The inversion runs degrees ascending, then genus ascending; the diagonal
-coefficient is 1, so the map is triangular and exactly invertible.
+M is lower triangular with a unit diagonal, so the inverse is a forward
+substitution per degree.  K_{g'} = K_{g'-1} K_2 (g' >= 3) builds M with one
+product per genus.
 
 The stable-pair side expands the same table in u := -q:
 
@@ -47,29 +46,37 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def _cover_kernel(r: int, g_prime: int, lam_trunc: int) -> LaurentSeries:
-    """(2 sin(r*lam/2))^(2g'-2), known from its lowest exponent to lam^lam_trunc.
-
-    Only the r = 1 kernels are built; the genus recursion and the rescaling
-    to r > 1 both look their inputs up through this cache.
-    """
-    if r > 1:  # K_{g',r}(lam) = K_{g',1}(r lam)
-        k = _cover_kernel(1, g_prime, lam_trunc)
-        return LaurentSeries(
-            "lambda", k.min_exp,
-            [c * Fraction(r) ** e for e, c in enumerate(k.coeffs, k.min_exp)],
-            k.trunc_order)
+def _cover_kernel(g_prime: int, lam_trunc: int) -> LaurentSeries:
+    """K_{g'} = (2 sin(lam/2))^(2g'-2), known up to lam^lam_trunc."""
     if g_prime == 1:
         return LaurentSeries.one("lambda", lam_trunc)
-    if g_prime >= 3:  # K_{g',1} = K_{g'-1,1} * K_{2,1}
-        prev = _cover_kernel(1, g_prime - 1, lam_trunc)
-        return (prev * _cover_kernel(1, 2, lam_trunc)).truncate(lam_trunc)
+    if g_prime >= 3:  # K_{g'} = K_{g'-1} * K_2
+        prev = _cover_kernel(g_prime - 1, lam_trunc)
+        return (prev * _cover_kernel(2, lam_trunc)).truncate(lam_trunc)
     base_trunc = lam_trunc + (4 if g_prime == 0 else 0)
     coeffs = [Fraction(0)] * (base_trunc + 1)
     for j in range(1, base_trunc // 2 + 1):
         coeffs[2 * j] = Fraction(2 * (-1) ** (j + 1), factorial(2 * j))
     base = LaurentSeries("lambda", 0, coeffs, base_trunc)  # 2 - 2cos(lam)
     return base.invert() if g_prime == 0 else base
+
+
+def _basis(g_out: int) -> list[list[Fraction]]:
+    """Rows g <= g_out of M: M[g][g'] = [lam^(2g-2)] K_{g'} for g' <= g."""
+    kernels = [_cover_kernel(gp, 2 * g_out - 2) for gp in range(g_out + 1)]
+    return [[k.coefficient(2 * g - 2) for k in kernels[:g + 1]]
+            for g in range(g_out + 1)]
+
+
+def _dot(row: list, xs: list) -> Fraction:
+    """sum row[i] xs[i] over the shorter of the two."""
+    return sum((c * x for c, x in zip(row, xs) if x), Fraction(0))
+
+
+def _covers(v: dict, g: int, d: int, r_min: int) -> Fraction:
+    """sum_{r | d, r >= r_min} r^(2g-3) v[d/r][g]."""
+    return sum((Fraction(r) ** (2 * g - 3) * v[d // r][g]
+                for r in range(r_min, d + 1) if d % r == 0), Fraction(0))
 
 
 def _require_window(table, g_out: int, d_out: int) -> None:
@@ -79,42 +86,33 @@ def _require_window(table, g_out: int, d_out: int) -> None:
             f"g<={table.g_max}, d<={table.d_max}")
 
 
-def _cover_sum(values: dict, g: int, d: int, lam_trunc: int) -> Fraction:
-    """sum_{r | d} sum_{g' <= g} (n_{g'}^{d/r} / r) [lam^(2g-2)] K_{g',r}."""
-    total = Fraction(0)
-    for r in range(1, d + 1):
-        if d % r:
-            continue
-        for gp in range(g + 1):
-            val = values.get((gp, d // r))
-            if val:
-                c = _cover_kernel(r, gp, lam_trunc).coefficient(2 * g - 2)
-                if c:
-                    total += val * c / r
-    return total
-
-
 def gv_to_gw(gv: GvTable, g_out: int, d_out: int) -> GwTable:
-    """GW table on g <= g_out, d <= d_out from a GV table covering it."""
+    """GW table on g <= g_out, d <= d_out: v_{d'} = M n_{., d'}, then
+    N_{g,d} = sum_{r | d} r^(2g-3) v_{d/r}[g]."""
     _require_window(gv, g_out, d_out)
-    lam_trunc = 2 * g_out - 2
-    out = {(g, d): _cover_sum(gv.entries, g, d, lam_trunc)
+    m = _basis(g_out)
+    v = {}
+    for dp in range(1, d_out + 1):
+        n = [gv.entries.get((gp, dp), 0) for gp in range(g_out + 1)]
+        v[dp] = [_dot(row, n) for row in m]
+    out = {(g, d): _covers(v, g, d, 1)
            for d in range(1, d_out + 1) for g in range(g_out + 1)}
     return GwTable(out, g_out, d_out)
 
 
 def gw_to_gv(gw: GwTable, g_out: int, d_out: int) -> GvTable:
-    """Triangular inversion of gv_to_gw (degrees ascending, genus ascending).
-
-    Cell (g, d) is not in ``out`` yet, so the cover sum over ``out`` misses
-    exactly its own diagonal term, whose coefficient is 1.
-    """
+    """Inverse of gv_to_gw, degrees ascending: v_d = N_{., d} minus the
+    r >= 2 covers of lower degrees, then M n_{., d} = v_d (M[g][g] = 1)."""
     _require_window(gw, g_out, d_out)
-    lam_trunc = 2 * g_out - 2
+    m = _basis(g_out)
+    v = {}
     out: dict[tuple[int, int], Fraction] = {}
     for d in range(1, d_out + 1):
-        for g in range(g_out + 1):
-            out[(g, d)] = gw.value(g, d) - _cover_sum(out, g, d, lam_trunc)
+        v[d] = [gw.value(g, d) - _covers(v, g, d, 2) for g in range(g_out + 1)]
+        n: list[Fraction] = []
+        for g, row in enumerate(m):  # n holds g' < g: the diagonal drops out
+            n.append(v[d][g] - _dot(row, n))
+        out.update(((g, d), x) for g, x in enumerate(n))
     return GvTable(out, g_out, d_out)
 
 

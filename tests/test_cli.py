@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import pytest
+
 from curvecount.cli import main
 from curvecount.series import LaurentSeries
 from curvecount.tables import (
@@ -316,3 +318,55 @@ def test_json_table_errors_name_the_file(tmp_path, capsys):
                    "--gmax", "0", "--dmax", "1"])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {src}: {why}\n"
+
+
+@pytest.mark.parametrize("field, value, why", [
+    ("entries", 5, "entries must be a list, got 5"),
+    ("d_max", "2", 'd_max must be an integer, got "2"'),
+    ("d_max", True, "d_max must be an integer, got true"),
+    ("g_max", "0", 'g_max must be an integer, got "0"'),
+], ids=["entries", "d_max", "d_max_bool", "g_max"])
+def test_json_table_field_types_are_checked(tmp_path, capsys, field, value,
+                                            why):
+    table = {"kind": "gw", "d_max": 1, "g_max": 0, "entries": [], field: value}
+    src = write(tmp_path / "t.json", json.dumps(table))
+    rc = main(["transform", "gw2gv", "--in", src,
+               "--out", str(tmp_path / "o.csv"), "--gmax", "0", "--dmax", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {src}: {why}\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_json_q_window_must_be_two_integers(tmp_path, capsys):
+    for value in ("-1:5", [0], [0, "5"], [0, 1, 2]):
+        src = write(tmp_path / "pt.json", json.dumps(
+            {"kind": "pt", "d_max": 1, "q_window": value, "entries": []}))
+        rc = main(["validate", "--in", src, "--kind", "pt"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {src}: q_window must be a list of 2 integers, "
+            f"got {json.dumps(value)}\n"), value
+
+
+def test_json_castelnuovo_flag_must_be_a_boolean(tmp_path, capsys):
+    # A string "false" is not the boolean false: it must not switch the
+    # threshold check on and reject a table that breaks no declared law.
+    src = write(tmp_path / "gv.json", json.dumps(
+        {"kind": "gv", "d_max": 1, "g_max": 5, "castelnuovo_valid": "false",
+         "entries": [[5, 1, "1"]]}))
+    rc = main(["validate", "--in", src, "--kind", "gv"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f'error: {src}: castelnuovo_valid must be true or false, '
+        f'got "false"\n')
+
+
+def test_truncated_json_table_names_the_file(tmp_path, capsys):
+    src = write(tmp_path / "t.json", '{"kind": "gw",\n')
+    rc = main(["transform", "gw2gv", "--in", src,
+               "--out", str(tmp_path / "o.csv"), "--gmax", "0", "--dmax", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"error: {src}: Expecting property name enclosed in "
+                   "double quotes: line 2 column 1 (char 15)\n")
+    assert "Traceback" not in err

@@ -14,12 +14,10 @@ from curvecount.series import (
     VariableMismatchError,
     WindowError,
     series_compose,
-    series_compose_t,
     series_exp,
     series_invert,
     series_log,
     series_mul,
-    series_reversion,
 )
 
 F = Fraction
@@ -207,53 +205,6 @@ def test_bivariate_exp_log_round_trip():
 
 
 # -- composition -------------------------------------------------------
-
-def test_compose_t_identity_layer():
-    m = LaurentSeries("q", 1, [1, 1], 2)  # q + q^2
-    f = BivariateSeries([LaurentSeries.zero("q", 4),
-                         LaurentSeries.one("q", 4)])  # f = t
-    out = series_compose_t(f, m)
-    assert out.t_trunc == 1
-    assert out.per_degree[0].is_zero
-    assert out.per_degree[1] == LaurentSeries.one("q", 4)
-    # scalar profile along the new grading equals m itself
-    # (layer e carries [x^e] m^1 which is 1 for e = 1; t_trunc capped by f)
-
-
-def test_compose_t_squaring():
-    m = LaurentSeries("q", 1, [1, 1, 0], 3)  # q + q^2 known to q^3
-    f = BivariateSeries([LaurentSeries.zero("q", 4),
-                         LaurentSeries.zero("q", 4),
-                         LaurentSeries.one("q", 4),
-                         LaurentSeries.zero("q", 4)])  # f = t^2, known to t^3
-    out = series_compose_t(f, m)
-    # m^2 = q^2 + 2q^3 + q^4: layers 2 and 3 carry 1 and 2
-    assert out.per_degree[2] == LaurentSeries.one("q", 4)
-    assert out.per_degree[3] == LaurentSeries("q", 0, [2, 0, 0, 0, 0], 4)
-
-
-def test_compose_t_round_trip_with_reversion():
-    rng = random.Random(3)
-    m = LaurentSeries("t", 1, [1, 2, -1, 3, 0, 1], 6)
-    minv = series_reversion(m)
-    # oracle: brute-force check m(minv(x)) = x by independent composition
-    comp = series_compose(m, minv)
-    assert comp == LaurentSeries("t", 1, [1, 0, 0, 0, 0, 0], 6)
-    layers = [LaurentSeries.zero("q", 5)]
-    layers += [rand_series(rng, "q", 0, 5) for _ in range(4)]
-    f = BivariateSeries(layers)
-    back = series_compose_t(series_compose_t(f, m), minv)
-    assert back.t_trunc == f.t_trunc
-    for d in range(f.t_trunc + 1):
-        assert back.per_degree[d] == f.per_degree[d]
-
-
-def test_compose_t_rejects_constant_term():
-    m = LaurentSeries("q", 0, [1, 1], 1)
-    f = BivariateSeries([LaurentSeries.zero("q", 2), LaurentSeries.one("q", 2)])
-    with pytest.raises(ValueError):
-        series_compose_t(f, m)
-
 
 def test_compose_univariate_against_oracle():
     # f(m(x)) checked coefficient-by-coefficient with plain polynomial ops

@@ -95,17 +95,46 @@ def direct_kernel(r: int, g_prime: int, lam_trunc: int) -> LaurentSeries:
     return kernel
 
 
-def test_cover_kernel_matches_direct_powers():
+def test_cover_kernel_rescales_to_every_cover():
+    # [lam^(2g-2)] (2 sin(r lam/2))^(2g'-2) = r^(2g-2) [lam^(2g-2)] K_{g'}
     _cover_kernel.cache_clear()
     for lam_trunc in (18, 25):
-        for r in range(1, 6):
-            for g_prime in range(0, 11):
-                got = _cover_kernel(r, g_prime, lam_trunc)
+        for g_prime in range(0, 11):
+            kernel = _cover_kernel(g_prime, lam_trunc)
+            assert kernel.trunc_order >= lam_trunc
+            for r in range(1, 6):
                 want = direct_kernel(r, g_prime, lam_trunc)
-                assert got.trunc_order >= lam_trunc
-                for e in range(-2, lam_trunc + 1):
-                    assert got.coefficient(e) == want.coefficient(e), \
-                        (r, g_prime, lam_trunc, e)
+                for g in range(0, lam_trunc // 2 + 2):
+                    e = 2 * g - 2
+                    assert want.coefficient(e) == \
+                        F(r) ** e * kernel.coefficient(e), \
+                        (r, g_prime, lam_trunc, g)
+
+
+def reference_gv_to_gw(gv: GvTable, g_out: int, d_out: int) -> dict:
+    """The cover sum cell by cell, one direct kernel per (r, g')."""
+    lam_trunc = 2 * g_out - 2
+    out = {}
+    for d in range(1, d_out + 1):
+        for g in range(g_out + 1):
+            total = F(0)
+            for r in (r for r in range(1, d + 1) if d % r == 0):
+                for gp in range(g + 1):
+                    val = gv.entries.get((gp, d // r))
+                    if val:
+                        kernel = direct_kernel(r, gp, lam_trunc)
+                        total += val * kernel.coefficient(2 * g - 2) / r
+            if total:
+                out[(g, d)] = total
+    return out
+
+
+def test_gv_to_gw_matches_reference_cover_sum():
+    rng = random.Random(6)
+    for g_max, d_max in [(0, 12), (1, 12), (3, 12), (6, 12), (6, 7)]:
+        gv = rand_gv(rng, g_max, d_max)
+        assert gv_to_gw(gv, g_max, d_max).entries == \
+            reference_gv_to_gw(gv, g_max, d_max)
 
 
 # -- gw_to_gv ----------------------------------------------------------
