@@ -24,6 +24,7 @@ from .bounds import bps_threshold, extremal_gv, max_vanishing_degree
 from .series import (
     LaurentSeries,
     WindowError,
+    _json_fields,
     format_rational,
     series_invert,
     series_reversion,
@@ -184,8 +185,10 @@ class ConifoldFrame:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> ConifoldFrame:
-        frame = cls(LaurentSeries.from_json_dict(d["delta_of_q"]),
-                    LaurentSeries.from_json_dict(d["Delta_of_delta"]))
+        """Frame from its JSON form; a malformed one raises ValueError."""
+        q, flat = _json_fields(d, "delta_of_q", "Delta_of_delta")
+        frame = cls(LaurentSeries.from_json_dict(q),
+                    LaurentSeries.from_json_dict(flat))
         if "Y_of_Delta" in d:
             stated = LaurentSeries.from_json_dict(d["Y_of_Delta"])
             derived = frame.y_of_flat.truncate(
@@ -289,21 +292,11 @@ def assemble_fg(coeffs, y: LaurentSeries) -> LaurentSeries:
     if isinstance(coeffs, HolomorphicAmbiguity):
         if not coeffs.resolved:
             raise ValueError("unresolved ambiguity cannot be assembled")
-        items = dict(enumerate(coeffs.coeffs))
-    else:
-        items = dict(coeffs)
-    top = max(items, default=0)
-    out = LaurentSeries.monomial(y.variable, 0, items.get(0, Fraction(0)),
-                                 y.trunc_order) if items.get(0) else None
-    power = None
-    for i in range(1, top + 1):
-        power = y if power is None else power * y
-        c = items.get(i)
+        coeffs = dict(enumerate(coeffs.coeffs))
+    out = LaurentSeries.zero(y.variable, y.trunc_order)
+    for i, c in sorted(coeffs.items()):
         if c:
-            term = power.scale(c)
-            out = term if out is None else out + term
-    if out is None:
-        return LaurentSeries.zero(y.variable, y.trunc_order)
+            out = out + (y ** i).scale(c)
     return out
 
 

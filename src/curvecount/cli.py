@@ -19,6 +19,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 from . import bcov as bcov_mod
 from . import bounds as bounds_mod
@@ -75,18 +76,26 @@ def _write_table(table, path: str) -> None:
                   else table_to_csv(table))
 
 
+def _load(path: str, read):
+    """read(path), with "<path>: " before every error that does not name it."""
+    try:
+        return read(path)
+    except (ValueError, ZeroDivisionError) as exc:  # decoding errors too
+        if str(exc).startswith(f"{path}:"):
+            raise
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_table(path: str, kind: str, **kw):
-    if path.endswith(".json"):
-        table = read_table_json(path)
-        if table.kind != kind:
-            raise ValueError(f"expected a {kind} table in {path}")
-        return table
-    return read_table_csv(path, kind, **kw)
+    table = _load(path, read_table_json if path.endswith(".json")
+                  else lambda p: read_table_csv(p, kind, **kw))
+    if table.kind != kind:
+        raise ValueError(f"expected a {kind} table in {path}")
+    return table
 
 
-def _load_series(path: str) -> LaurentSeries:
-    with open(path, "r", encoding="utf-8") as fh:
-        return LaurentSeries.from_json_dict(json.load(fh))
+def _load_json(path: str, build):
+    return _load(path, lambda p: build(json.loads(Path(p).read_text("utf-8"))))
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -105,12 +114,12 @@ def _with_config(argv: list[str], args: argparse.Namespace) -> list[str]:
     them like any flag and the explicit flags that follow win.
     """
     tokens = []
-    with open(args.config, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                key, _, value = line.partition("=")
-                tokens.append(f"--{key.strip()}={value.strip()}")
+    text = _load(args.config, lambda p: Path(p).read_text("utf-8"))
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line:
+            key, _, value = line.partition("=")
+            tokens.append(f"--{key.strip()}={value.strip()}")
     at = 0
     while argv[at].startswith("-"):  # --config PATH or --config=PATH
         at += 1 if "=" in argv[at] else 2
@@ -238,7 +247,8 @@ def _run_transform(args) -> int:
         _require(args, "dt0")
         window = _parse_window(args.qwindow) if args.qwindow else None
         pt = _read_table(args.infile, "pt", q_window=window, d_max=args.dmax)
-        out = transforms.pt_to_dt(pt, _load_series(args.dt0))
+        dt0 = _load_json(args.dt0, LaurentSeries.from_json_dict)
+        out = transforms.pt_to_dt(pt, dt0)
     _write_table(out, args.outfile)
     if args.report:
         _write_json(args.report, {"reports": reports})
@@ -324,9 +334,8 @@ def _run_bcov(args) -> int:
         _write_json(args.outfile, bcov_mod.resolution_plan(g).to_json_dict())
         return EXIT_OK
     _require(args, "frame", "known")
-    with open(args.frame, "r", encoding="utf-8") as fh:
-        frame = bcov_mod.ConifoldFrame.from_json_dict(json.load(fh))
-    known = _load_series(args.known)
+    frame = _load_json(args.frame, bcov_mod.ConifoldFrame.from_json_dict)
+    known = _load_json(args.known, LaurentSeries.from_json_dict)
     values = bcov_mod.gap_solve(g, known, frame)
     amb = bcov_mod.HolomorphicAmbiguity.blank(g).with_values(
         values, bcov_mod.STATUS_GAP)

@@ -7,10 +7,12 @@ Every operation computes the tightest window it can guarantee:
 
     f + g : [min(m_f, m_g), min(T_f, T_g)]
     f * g : [m_f + m_g,     min(T_f + m_g, T_g + m_f)]
+    f ** n: [n m_f,         T_f + (n - 1) m_f]     (any integer n != 0)
 
-so windows shrink when negative exponents convolve.  A :class:`BivariateSeries`
-is a finite t-graded stack of Laurent series in one secondary variable (the
-degree-0 layer of a generating series is treated as exactly 1).
+so windows shrink when negative exponents convolve.  Every power, f ** -1
+included, comes from one recurrence.  A :class:`BivariateSeries` is a finite
+t-graded stack of Laurent series in one secondary variable (the degree-0
+layer of a generating series is treated as exactly 1).
 
 All values are immutable after construction and all operations are pure, so
 they are safe to share across threads.
@@ -18,7 +20,6 @@ they are safe to share across threads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -60,6 +61,20 @@ def parse_rational(s: str) -> Fraction:
 
 def _coerce(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _json_fields(d, *keys) -> list:
+    """d[key] for each key of the JSON object d; ValueError if one is absent."""
+    if not isinstance(d, dict):
+        raise ValueError("expected a JSON object")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"missing key {key!r}")
+    return [d[key] for key in keys]
 
 
 @dataclass(frozen=True)
@@ -178,11 +193,6 @@ class LaurentSeries:
         return LaurentSeries(self.variable, self.min_exp,
                              [s * c for c in self.coeffs], self.trunc_order)
 
-    def shift(self, k: int) -> LaurentSeries:
-        """Multiply by variable**k (window shifts with the exponents)."""
-        return LaurentSeries(self.variable, self.min_exp + k, self.coeffs,
-                             self.trunc_order + k)
-
     def __mul__(self, other):
         if isinstance(other, LaurentSeries):
             self._check_var(other)
@@ -206,14 +216,22 @@ class LaurentSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> LaurentSeries:
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers")
+        """f**n for any integer n, on [n a, T + (n-1) a] for f on [a, T].
+
+        n = 0 gives 1 on [0, T]; a zero series has no negative powers.
+        """
+        if not isinstance(n, int):
+            raise ValueError("only integer powers")
         if n == 0:
             return LaurentSeries.one(self.variable, self.trunc_order)
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
+        if n == 1:
+            return self
+        if self.is_zero and n < 0:
+            raise ValueError("cannot invert: zero leading coefficient")
+        a, u = self.min_exp, self.coeffs
+        return LaurentSeries(self.variable, n * a,
+                             _unit_power(u, n, len(u)) if u else (),
+                             self.trunc_order + (n - 1) * a)
 
     def truncate(self, trunc_order: int) -> LaurentSeries:
         """Forget knowledge above ``trunc_order`` (must not exceed current)."""
@@ -226,24 +244,8 @@ class LaurentSeries:
     # -- inversion / log / exp ----------------------------------------
 
     def invert(self) -> LaurentSeries:
-        """Multiplicative inverse.
-
-        Requires a nonzero lowest-order coefficient.  For f known on [a, T]
-        the inverse is known on [-a, T - 2a] and f * invert(f) = 1 there.
-        """
-        if self.is_zero:
-            raise ValueError("cannot invert: zero leading coefficient")
-        a = self.min_exp
-        u = self.coeffs  # unit part, u[0] != 0
-        order = self.trunc_order - a  # known degrees of the unit part
-        inv0 = 1 / u[0]
-        out = [inv0] + [Fraction(0)] * order
-        for m in range(1, order + 1):
-            s = Fraction(0)
-            for k in range(1, min(m, len(u) - 1) + 1):
-                s += u[k] * out[m - k]
-            out[m] = -inv0 * s
-        return LaurentSeries(self.variable, -a, out, self.trunc_order - 2 * a)
+        """Multiplicative inverse, f**-1: known on [-a, T - 2a] for f on [a, T]."""
+        return self ** -1
 
     def log(self) -> LaurentSeries:
         """log(f) for f with constant term 1; result has valuation >= 1."""
@@ -275,15 +277,19 @@ class LaurentSeries:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> LaurentSeries:
-        return cls(d["variable"], d["min_exp"],
-                   [parse_rational(c) for c in d["coeffs"]], d["trunc"])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> LaurentSeries:
-        return cls.from_json_dict(json.loads(s))
+        """Series from its JSON form; a malformed one raises ValueError."""
+        var, lo, trunc, cs = _json_fields(d, "variable", "min_exp", "trunc",
+                                          "coeffs")
+        for key, value, ok, want in [
+                ("variable", var, isinstance(var, str), "a string"),
+                ("min_exp", lo, _is_int(lo), "an integer"),
+                ("trunc", trunc, _is_int(trunc), "an integer"),
+                ("coeffs", cs, isinstance(cs, list) and all(
+                    isinstance(c, str) or _is_int(c) for c in cs),
+                 'a list of "p/q" strings')]:
+            if not ok:
+                raise ValueError(f"{key} must be {want}, got {value!r}")
+        return cls(var, lo, map(parse_rational, cs), trunc)
 
     def __str__(self) -> str:
         ts = self.terms()
@@ -292,6 +298,24 @@ class LaurentSeries:
         else:
             body = " + ".join(f"({c})*{self.variable}^{e}" for e, c in ts)
         return f"{body} + O({self.variable}^{self.trunc_order + 1})"
+
+
+def _unit_power(u: Sequence[Fraction], alpha: int, count: int) -> list:
+    """First ``count`` coefficients of u**alpha, for u[0] != 0.
+
+    J.C.P. Miller's recurrence, from u P' = alpha u' P: P_0 = u_0^alpha and
+    P_k = (1/(k u_0)) sum_{j=1..k} ((alpha+1) j - k) u_j P_{k-j}.  It reads
+    u only below ``count``.
+    """
+    u0 = u[0]
+    p = [u0 ** alpha]
+    for k in range(1, count):
+        s = Fraction(0)
+        for j in range(1, k + 1):
+            if u[j]:
+                s += ((alpha + 1) * j - k) * u[j] * p[k - j]
+        p.append(s / (k * u0))
+    return p
 
 
 def _log_terms(f: list) -> list:
@@ -351,27 +375,15 @@ def _compose_power_series(f: LaurentSeries, m: LaurentSeries) -> LaurentSeries:
 def series_reversion(m: LaurentSeries) -> LaurentSeries:
     """Compositional inverse of m = c1*x + ... with c1 != 0, on [1, T].
 
-    Lagrange inversion: w_n = (1/n) [x^(n-1)] h^n with h = x/m(x).  The
-    coefficients P_k of P = h^n come from J.C.P. Miller's power recurrence
-    P_k = (1/(k h_0)) sum_{j=1..k} ((n+1) j - k) h_j P_{k-j}, needed only
-    up to k = n - 1, so the whole reversion costs O(T^3) operations.
+    Lagrange inversion: w_n = (1/n) [x^(n-1)] (m(x)/x)^(-n), with the power
+    from :func:`_unit_power` up to x^(n-1) only, so the whole reversion
+    costs O(T^3) operations.
     """
     if m.is_zero or m.min_exp != 1:
         raise ValueError("reversion needs valuation exactly 1")
     T = m.trunc_order
-    h = m.shift(-1).invert().coeffs  # x/m(x), known on [0, T - 1]
-    h0 = h[0]
-    w = [Fraction(0)] * (T + 1)
-    for n in range(1, T + 1):
-        p = [h0 ** n]
-        for k in range(1, n):
-            s = Fraction(0)
-            for j in range(1, k + 1):
-                if h[j]:
-                    s += ((n + 1) * j - k) * h[j] * p[k - j]
-            p.append(s / (k * h0))
-        w[n] = p[n - 1] / n
-    return LaurentSeries(m.variable, 0, w, T)
+    w = [_unit_power(m.coeffs, -n, n)[n - 1] / n for n in range(1, T + 1)]
+    return LaurentSeries(m.variable, 1, w, T)
 
 
 @dataclass(frozen=True)
@@ -403,16 +415,6 @@ class BivariateSeries:
     @property
     def variable(self) -> str:
         return self.per_degree[0].variable
-
-    def coefficient(self, exp: int, degree: int) -> Fraction:
-        if not 0 <= degree <= self.t_trunc:
-            raise WindowError(f"t-degree {degree} outside [0, {self.t_trunc}]")
-        return self.per_degree[degree].coefficient(exp)
-
-    def __add__(self, other: BivariateSeries) -> BivariateSeries:
-        n = min(self.t_trunc, other.t_trunc)
-        return BivariateSeries([self.per_degree[d] + other.per_degree[d]
-                                for d in range(n + 1)])
 
     def log(self) -> BivariateSeries:
         """log of a generating series (degree-0 layer exactly 1)."""

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import bps_threshold
-from .series import _coerce, format_rational, parse_rational
+from .series import (_coerce, _is_int, _json_fields, format_rational,
+                     parse_rational)
 
 __all__ = [
     "GvTable",
@@ -43,6 +44,10 @@ class _Table:
     """Window check, lookup and row order; a shape adds its window and law."""
 
     def __post_init__(self):
+        for key, low in (("g_max", 0), ("d_max", 1)):
+            value = getattr(self, key, low)
+            if value < low:
+                raise ValueError(f"{key} must be >= {low}, got {value}")
         entries = ((k, _coerce(v)) for k, v in self.entries.items())
         object.__setattr__(self, "entries", {k: v for k, v in entries if v})
         for (a, d) in self.entries:
@@ -205,19 +210,10 @@ def table_to_json(table) -> str:
 
 
 def table_from_json_dict(d: dict):
-    return _from_json_dict(d, "")
-
-
-def _from_json_dict(d: dict, where: str):
-    """Table from its JSON form; every error message starts with ``where``."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{where}expected a JSON object")
-    try:
-        kind, d_max, rows = d["kind"], d["d_max"], d["entries"]
-    except KeyError as exc:
-        raise ValueError(f"{where}missing key {exc}") from None
+    """Table from its JSON form; a malformed one raises ValueError."""
+    kind, d_max, rows = _json_fields(d, "kind", "d_max", "entries")
     if kind not in ("gv", "gw", "pt"):
-        raise ValueError(f"{where}unknown table kind {kind!r}")
+        raise ValueError(f"unknown table kind {kind!r}")
     g_max, q_window = d.get("g_max"), d.get("q_window")
     valid = d.get("castelnuovo_valid", False)
     for key, value, ok, want in [
@@ -230,8 +226,7 @@ def _from_json_dict(d: dict, where: str):
             ("castelnuovo_valid", valid, isinstance(valid, bool),
              "true or false")]:
         if not ok:
-            raise ValueError(f"{where}{key} must be {want}, "
-                             f"got {json.dumps(value)}")
+            raise ValueError(f"{key} must be {want}, got {json.dumps(value)}")
     entries: dict[tuple[int, int], Fraction] = {}
     for i, entry in enumerate(rows):
         try:
@@ -239,22 +234,19 @@ def _from_json_dict(d: dict, where: str):
                 raise ValueError(f"expected [key, d, value], got {json.dumps(entry)}")
             _add_entry(entries, *entry)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{where}entry {i}: {exc}") from None
+            raise ValueError(f"entry {i}: {exc}") from None
     return _build_table(
         kind, entries, g_max=g_max, d_max=d_max,
         q_window=tuple(q_window) if q_window is not None else None,
         castelnuovo_valid=valid)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def read_table_json(path: str):
     """Read a JSON table; errors raise ValueError("<path>: ...")."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return table_from_json_dict(json.load(fh))
+        except TruncationError as exc:
+            raise TruncationError(f"{path}: {exc}") from None
+        except ValueError as exc:  # JSON and UTF-8 decoding errors included
             raise ValueError(f"{path}: {exc}") from None
-    return _from_json_dict(d, f"{path}: ")

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
+
+import pytest
 
 from curvecount.bernoulli import bernoulli
 
@@ -23,3 +25,19 @@ def test_odd_vanishing():
 def test_defining_recurrence_up_to_30():
     for m in range(1, 31):
         assert sum(comb(m + 1, j) * bernoulli(j) for j in range(m + 1)) == 0
+
+
+def test_generating_function_matches_sympy():
+    """x/(e^x - 1) = sum B_k x^k/k!, inverted by sympy: the B_1 = -1/2 convention."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.ring_series import rs_series_inversion
+    from sympy.polys.rings import ring
+
+    N = 60
+    R, x = ring("x", sympy.QQ)
+    quotient = sum((sympy.QQ(1, factorial(k + 1)) * x ** k
+                    for k in range(N + 1)), R.zero)  # (e^x - 1)/x
+    oracle = rs_series_inversion(quotient, x, N + 1)
+    for k in range(N + 1):
+        c = oracle.coeff(x ** k) * factorial(k)
+        assert bernoulli(k) == F(int(c.numerator), int(c.denominator)), k

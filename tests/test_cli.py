@@ -370,3 +370,89 @@ def test_truncated_json_table_names_the_file(tmp_path, capsys):
     assert err == (f"error: {src}: Expecting property name enclosed in "
                    "double quotes: line 2 column 1 (char 15)\n")
     assert "Traceback" not in err
+
+
+UTF8_FAULT = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+SERIES_ONE = json.dumps(LaurentSeries("q", 0, [1], 0).to_json_dict())
+
+
+@pytest.mark.parametrize("role, name, data, why", [
+    ("in", "pt.csv", b"\xffn,d,value\n", UTF8_FAULT),
+    ("in", "pt.json", b"\xff{}", UTF8_FAULT),
+    ("dt0", "dt0.json", b"\xff{}", UTF8_FAULT),
+    ("dt0", "dt0.json", b'{"variable": "q",\n', "Expecting property name "
+     "enclosed in double quotes: line 2 column 1 (char 18)"),
+    ("dt0", "dt0.json", b'{"variable": "q", "coeffs": ["1"], "trunc": 0}',
+     "missing key 'min_exp'"),
+    ("dt0", "dt0.json",
+     b'{"variable": "q", "min_exp": 0, "coeffs": 5, "trunc": 0}',
+     'coeffs must be a list of "p/q" strings, got 5'),
+    ("dt0", "dt0.json",
+     b'{"variable": "q", "min_exp": 0, "coeffs": ["1/0"], "trunc": 0}',
+     "Fraction(1, 0)"),
+    ("dt0", "dt0.json", b"[1, 2]", "expected a JSON object"),
+    ("frame", "frame.json", b"[1, 2]", "expected a JSON object"),
+    ("frame", "frame.json", b'{"delta_of_q": ' + SERIES_ONE.encode() + b"}",
+     "missing key 'Delta_of_delta'"),
+    ("frame", "frame.json", b'{"delta_of_q": 3, "Delta_of_delta": 4}',
+     "expected a JSON object"),
+    ("known", "known.json", b"\xff{}", UTF8_FAULT),
+    ("config", "defaults.cfg", b"\xffdmax = 2\n", UTF8_FAULT),
+], ids=["csv_table_utf8", "json_table_utf8", "series_utf8", "series_truncated",
+        "series_missing_key", "series_coeffs_not_a_list",
+        "series_zero_denominator", "series_top_level_list",
+        "frame_top_level_list", "frame_missing_key", "frame_part_not_an_object",
+        "known_utf8", "config_utf8"])
+def test_input_file_errors_name_the_file(tmp_path, capsys, role, name, data,
+                                         why):
+    from curvecount.bcov import ConifoldFrame
+
+    bad = tmp_path / "bad" / name
+    bad.parent.mkdir()
+    bad.write_bytes(data)
+    out = str(tmp_path / "out.csv")
+    good = {
+        "in": write(tmp_path / "pt.csv", "n,d,value\n0,1,1\n"),
+        "dt0": write(tmp_path / "dt0.json", SERIES_ONE),
+        "frame": write(tmp_path / "frame.json", json.dumps(
+            ConifoldFrame.toy(12).to_json_dict())),
+        "known": write(tmp_path / "known.json", json.dumps(
+            LaurentSeries.zero("Delta", 0).to_json_dict())),
+    }
+    good[role] = str(bad)
+    if role in ("in", "dt0"):
+        argv = ["transform", "pt2dt", "--in", good["in"], "--dt0", good["dt0"]]
+    elif role in ("frame", "known"):
+        argv = ["bcov", "gap-solve", "--g", "2", "--frame", good["frame"],
+                "--known", good["known"]]
+    else:
+        argv = ["--config", good["config"], "bounds", "check", "corollary"]
+    argv += ["--out", out]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {why}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_negative_window_in_a_json_table_is_rejected(tmp_path, capsys):
+    src = write(tmp_path / "gv.json", json.dumps(
+        {"kind": "gv", "d_max": -3, "g_max": -1, "entries": []}))
+    out = tmp_path / "gw.csv"
+    assert main(["validate", "--in", src, "--kind", "gv"]) == 1
+    assert main(["transform", "gv2gw", "--in", src, "--out", str(out),
+                 "--gmax", "-1", "--dmax", "-3"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {src}: g_max must be >= 0, got -1\n" * 2
+    assert not out.exists()
+
+
+def test_negative_window_options_are_rejected(tmp_path, capsys):
+    src = write(tmp_path / "gv.json", json.dumps(
+        {"kind": "gv", "d_max": 1, "g_max": 0, "entries": [[0, 1, "1"]]}))
+    out = tmp_path / "gw.csv"
+    assert main(["transform", "gv2gw", "--in", src, "--out", str(out),
+                 "--gmax", "-1", "--dmax", "-3"]) == 1
+    assert capsys.readouterr().err == "error: g_max must be >= 0, got -1\n"
+    assert main(["transform", "gv2gw", "--in", src, "--out", str(out),
+                 "--gmax", "0", "--dmax", "0"]) == 1
+    assert capsys.readouterr().err == "error: d_max must be >= 1, got 0\n"
+    assert not out.exists()

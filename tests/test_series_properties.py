@@ -1,12 +1,14 @@
-"""Property tests: reversion against composition, log against exp.
+"""Property tests: powers against products, the window law for f*g,
+reversion against composition, log against exp.
 
-Run with hypothesis when it is installed; the reversion oracle also needs
-sympy.  Both are test-only dependencies.
+Run with hypothesis when it is installed; the reversion and inverse oracles
+also need sympy.  Both are test-only dependencies.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -23,6 +25,7 @@ from curvecount.series import (  # noqa: E402
     series_compose,
     series_exp,
     series_log,
+    series_invert,
     series_reversion,
 )
 
@@ -37,6 +40,99 @@ def valuation_one(draw, max_trunc: int = 20):
     T = draw(st.integers(1, max_trunc))
     rest = draw(st.lists(values, min_size=T - 1, max_size=T - 1))
     return LaurentSeries("x", 1, [draw(leading)] + rest, T)
+
+
+@st.composite
+def laurent(draw, max_trunc: int = 12):
+    """f on [a, T] with a in -3..3 and T <= max_trunc; may be the zero series."""
+    a = draw(st.integers(-3, 3))
+    T = draw(st.integers(a, max_trunc))
+    cs = draw(st.lists(values, min_size=T - a + 1, max_size=T - a + 1))
+    return LaurentSeries("x", a, cs, T)
+
+
+units = laurent().filter(lambda f: not f.is_zero)
+
+
+def recurrence_inverse(f: LaurentSeries) -> LaurentSeries:
+    """The triangular inverse recurrence that invert() used before powers."""
+    a, u = f.min_exp, f.coeffs
+    order = f.trunc_order - a
+    inv0 = 1 / u[0]
+    out = [inv0] + [Fraction(0)] * order
+    for m in range(1, order + 1):
+        s = Fraction(0)
+        for k in range(1, min(m, len(u) - 1) + 1):
+            s += u[k] * out[m - k]
+        out[m] = -inv0 * s
+    return LaurentSeries(f.variable, -a, out, f.trunc_order - 2 * a)
+
+
+@settings
+@hypothesis.given(laurent(), st.integers(0, 6))
+def test_power_is_the_repeated_product(f, n):
+    if n == 0 and f.trunc_order < 0:  # 1 is not known on [0, T] below 0
+        with pytest.raises(ValueError):
+            f ** 0
+        return
+    expect = reduce(lambda p, _: p * f, range(n - 1), f) if n else \
+        LaurentSeries.one("x", f.trunc_order)
+    assert f ** n == expect
+
+
+@settings
+@hypothesis.given(units)
+def test_inverse_power_matches_the_inverse_recurrence(f):
+    assert f ** -1 == series_invert(f) == recurrence_inverse(f)
+
+
+@settings
+@hypothesis.given(units, st.integers(1, 6))
+def test_negative_power_times_power_is_one(f, n):
+    # f**-n on [-n a, T - (n+1) a] times f**n on [n a, T + (n-1) a]
+    assert (f ** -n) * (f ** n) == \
+        LaurentSeries.one("x", f.trunc_order - f.min_exp)
+
+
+@settings
+@hypothesis.given(laurent(), laurent(), st.lists(values, min_size=4,
+                                                 max_size=4))
+def test_product_window_law(f, g, extra):
+    """f*g is known on [m_f + m_g, min(T_f + m_g, T_g + m_f)], and only
+    there: any values above the factors' windows leave it unchanged."""
+    fg = f * g
+    trunc = min(f.trunc_order + g.min_exp, g.trunc_order + f.min_exp)
+    assert fg.trunc_order == trunc
+    if not (f.is_zero or g.is_zero):
+        assert fg.min_exp == min(f.min_exp + g.min_exp, trunc + 1)
+
+    def extend(h: LaurentSeries, tail: list) -> LaurentSeries:
+        lo = min(h.min_exp, h.trunc_order + 1)
+        known = [h.coefficient(e) for e in range(lo, h.trunc_order + 1)]
+        return LaurentSeries("x", lo, known + tail, h.trunc_order + len(tail))
+
+    wide = extend(f, extra[:2]) * extend(g, extra[2:])
+    assert wide.truncate(trunc) == fg
+
+
+@pytest.mark.skipif(sympy is None, reason="the oracle needs sympy")
+@settings
+@hypothesis.given(units)
+def test_invert_matches_sympy(f):
+    from sympy.polys.ring_series import rs_series_inversion
+    from sympy.polys.rings import ring
+
+    R, x = ring("x", sympy.QQ)
+    unit = sum((sympy.QQ(c.numerator, c.denominator) * x ** k
+                for k, c in enumerate(f.coeffs)), R.zero)
+    oracle = rs_series_inversion(unit, x, len(f.coeffs))
+    inv = series_invert(f)
+    assert (inv.min_exp, inv.trunc_order) == \
+        (-f.min_exp, f.trunc_order - 2 * f.min_exp)
+    for k in range(len(f.coeffs)):
+        c = oracle.coeff(x ** k)
+        assert inv.coefficient(k - f.min_exp) == \
+            Fraction(int(c.numerator), int(c.denominator))
 
 
 @settings

@@ -164,3 +164,15 @@ def test_json_metadata_errors_name_the_file(tmp_path):
             read_table_json(str(p))
     with pytest.raises(ValueError, match="^missing key 'entries'$"):
         table_from_json_dict(cases[2][0])
+
+
+@pytest.mark.parametrize("make, why", [
+    (lambda: GvTable({}, -1, 1), "g_max must be >= 0, got -1"),
+    (lambda: GwTable({}, 0, 0), "d_max must be >= 1, got 0"),
+    (lambda: PtTable({}, -3, (0, 1)), "d_max must be >= 1, got -3"),
+], ids=["gv_g_max", "gw_d_max", "pt_d_max"])
+def test_negative_windows_are_rejected(make, why):
+    with pytest.raises(ValueError, match=re.escape(why)):
+        make()
+    # the smallest windows stay valid
+    assert GvTable({}, 0, 1).entries == PtTable({}, 1, (0, 0)).entries == {}

@@ -1,4 +1,5 @@
-"""Property tests: the GV<->GW and PT log/exp round trips are exact.
+"""Property tests: the GV<->GW and PT log/exp round trips are exact, and
+PT->DT by the degree-0 series 1 returns its input.
 
 Each round trip runs one shared helper through both of its callers: the
 cover sum through gv_to_gw and gw_to_gv, the log/exp recurrences through
@@ -16,12 +17,13 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from curvecount.bounds import bps_threshold  # noqa: E402
 from curvecount.series import BivariateSeries, LaurentSeries  # noqa: E402
-from curvecount.tables import GvTable  # noqa: E402
+from curvecount.tables import GvTable, PtTable  # noqa: E402
 from curvecount.transforms import (  # noqa: E402
     gv_to_gw,
     gw_to_gv,
     pt_connected_to_table,
     pt_table_to_connected,
+    pt_to_dt,
 )
 
 settings = hypothesis.settings(max_examples=60, deadline=None)
@@ -75,3 +77,34 @@ def test_pt_exp_log_round_trip_returns_the_layers(F):
         layer = back.per_degree[d]
         assert n_max + (d - 1) * m <= layer.trunc_order <= n_max
         assert layer == F.per_degree[d].truncate(layer.trunc_order)
+
+
+@st.composite
+def pt_tables(draw) -> PtTable:
+    """Rational PT data on a random window d <= 6, n in [n_min, n_max]."""
+    n_min = draw(st.integers(-6, 3))
+    n_max = draw(st.integers(n_min, 8))
+    d_max = draw(st.integers(1, 6))
+    cells = [(n, d) for d in range(1, d_max + 1)
+             for n in range(n_min, n_max + 1)]
+    entries = draw(st.dictionaries(
+        st.sampled_from(cells),
+        st.fractions(min_value=-20, max_value=20, max_denominator=5),
+        max_size=len(cells)))
+    return PtTable(entries, d_max, (n_min, n_max))
+
+
+@settings
+@hypothesis.given(pt_tables(), st.integers(0, 16))
+def test_pt_to_dt_by_one_returns_the_input(pt, T):
+    """With dt0 = 1 known through q^T each layer keeps its entries; the
+    window ends where the lowest entry of some layer plus T does."""
+    n_min, n_max = pt.q_window
+    lowest = [min((n for n, dd in pt.entries if dd == d), default=n_max + 1)
+              for d in range(1, pt.d_max + 1)]
+    end = min(n_max, *(low + T for low in lowest))
+    dt = pt_to_dt(pt, LaurentSeries.one("q", T))
+    assert dt.q_window == (n_min, end) and dt.d_max == pt.d_max
+    assert dt.entries == {k: v for k, v in pt.entries.items() if k[0] <= end}
+    if T >= n_max - n_min:
+        assert dt == pt
