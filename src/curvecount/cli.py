@@ -28,6 +28,7 @@ from .series import LaurentSeries, WindowError, format_rational
 from .svg import render_candidates_svg
 from .tables import (
     TruncationError,
+    _build_table,
     read_table_csv,
     read_table_json,
     table_to_csv,
@@ -86,9 +87,14 @@ def _load(path: str, read):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _read_table(path: str, kind: str, **kw):
-    table = _load(path, read_table_json if path.endswith(".json")
-                  else lambda p: read_table_csv(p, kind, **kw))
+def _read_table(path: str, kind: str, **window):
+    """A JSON table carries its window; a CSV table takes it from the flags,
+    which are checked on an empty table first, so their errors name no file."""
+    if path.endswith(".json"):
+        table = _load(path, read_table_json)
+    else:
+        _build_table(kind, {}, **window)
+        table = _load(path, lambda p: read_table_csv(p, kind, **window))
     if table.kind != kind:
         raise ValueError(f"expected a {kind} table in {path}")
     return table

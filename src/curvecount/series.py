@@ -10,9 +10,17 @@ Every operation computes the tightest window it can guarantee:
     f ** n: [n m_f,         T_f + (n - 1) m_f]     (any integer n != 0)
 
 so windows shrink when negative exponents convolve.  Every power, f ** -1
-included, comes from one recurrence.  A :class:`BivariateSeries` is a finite
-t-graded stack of Laurent series in one secondary variable (the degree-0
-layer of a generating series is treated as exactly 1).
+included, comes from one recurrence.
+
+Coefficients are :class:`~fractions.Fraction` values, and that stays the
+public type, but the exact hot loops (the product and the power recurrence)
+do not normalize a Fraction after every step: they bring their inputs to
+integer numerators over one common denominator (:func:`_numerators`), run on
+Python integers and build one Fraction per output value.
+
+A :class:`BivariateSeries` is a finite t-graded stack of Laurent series in
+one secondary variable (the degree-0 layer of a generating series is treated
+as exactly 1).
 
 All values are immutable after construction and all operations are pure, so
 they are safe to share across threads.
@@ -22,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -61,6 +71,16 @@ def parse_rational(s: str) -> Fraction:
 
 def _coerce(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _numerators(cs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, den) with cs[i] == ints[i] / den and den the lcm of denominators.
+
+    The one conversion from Fractions (or ints) to integers of the exact hot
+    loops.
+    """
+    den = lcm(*{c.denominator for c in cs})
+    return [c.numerator * (den // c.denominator) for c in cs], den
 
 
 def _is_int(x) -> bool:
@@ -121,6 +141,9 @@ class LaurentSeries:
 
     @classmethod
     def one(cls, variable: str, trunc_order: int) -> LaurentSeries:
+        if trunc_order < 0:
+            raise WindowError(f"1 is not known on a window ending at "
+                              f"{variable}^{trunc_order}")
         return cls.monomial(variable, 0, 1, trunc_order)
 
     @classmethod
@@ -199,17 +222,15 @@ class LaurentSeries:
             lo = self.min_exp + other.min_exp
             trunc = min(self.trunc_order + other.min_exp,
                         other.trunc_order + self.min_exp)
-            acc = [Fraction(0)] * max(trunc - lo + 1, 0)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                ei = self.min_exp + i
-                for j, b in enumerate(other.coeffs):
-                    e = ei + other.min_exp + j
-                    if e > trunc:
-                        break
-                    if b:
-                        acc[e - lo] += a * b
+            # The window holds n = min(len f, len g) coefficients, so only
+            # the first n of each factor reach it.
+            n = max(trunc - lo + 1, 0)
+            a, da = _numerators(self.coeffs[:n])
+            b, db = _numerators(other.coeffs[:n])
+            rb = b[::-1]
+            den = da * db
+            acc = [Fraction(sum(map(mul, a[:k + 1], rb[n - 1 - k:])), den)
+                   for k in range(n)]
             return LaurentSeries(self.variable, lo, acc, trunc)
         return self.scale(other)
 
@@ -306,15 +327,27 @@ def _unit_power(u: Sequence[Fraction], alpha: int, count: int) -> list:
     J.C.P. Miller's recurrence, from u P' = alpha u' P: P_0 = u_0^alpha and
     P_k = (1/(k u_0)) sum_{j=1..k} ((alpha+1) j - k) u_j P_{k-j}.  It reads
     u only below ``count``.
+
+    The sums run on integers: u_j = a_j / D and P_j = n_j / den, with den
+    the lcm of the denominators of P_0..P_{k-1}, so
+    P_k = sum_j ((alpha+1) j - k) a_j n_{k-j} / (den k a_0).
     """
-    u0 = u[0]
-    p = [u0 ** alpha]
+    a, _ = _numerators(u[:count])
+    ja = [j * x for j, x in enumerate(a)]
+    p = [u[0] ** alpha]
+    den, nums = p[0].denominator, [p[0].numerator]
     for k in range(1, count):
-        s = Fraction(0)
-        for j in range(1, k + 1):
-            if u[j]:
-                s += ((alpha + 1) * j - k) * u[j] * p[k - j]
-        p.append(s / (k * u0))
+        rev = nums[::-1]  # n_{k-1}, ..., n_0
+        s = (alpha + 1) * sum(map(mul, ja[1:k + 1], rev)) \
+            - k * sum(map(mul, a[1:k + 1], rev))
+        pk = Fraction(s, den * k * a[0])
+        q = pk.denominator
+        if den % q:  # den becomes lcm(den, q)
+            grow = q // gcd(den, q)
+            nums = [x * grow for x in nums]
+            den *= grow
+        nums.append(pk.numerator * (den // q))
+        p.append(pk)
     return p
 
 

@@ -11,7 +11,9 @@ is one matrix and one divisor sum:
 
 M is lower triangular with a unit diagonal, so the inverse is a forward
 substitution per degree.  K_{g'} = K_{g'-1} K_2 (g' >= 3) builds M with one
-product per genus.
+product per genus.  Each row of M is stored as integer numerators over the
+row's lcm denominator, so a row times a vector is one integer dot product
+and one Fraction.
 
 The stable-pair side expands the same table in u := -q:
 
@@ -27,8 +29,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import mul
 
-from .series import BivariateSeries, LaurentSeries, WindowError
+from .series import BivariateSeries, LaurentSeries, WindowError, _numerators
 from .tables import GvTable, GwTable, PtTable, TruncationError
 
 __all__ = [
@@ -61,16 +64,19 @@ def _cover_kernel(g_prime: int, lam_trunc: int) -> LaurentSeries:
     return base.invert() if g_prime == 0 else base
 
 
-def _basis(g_out: int) -> list[list[Fraction]]:
-    """Rows g <= g_out of M: M[g][g'] = [lam^(2g-2)] K_{g'} for g' <= g."""
+def _basis(g_out: int) -> list[tuple[list[int], int]]:
+    """Rows g <= g_out of M: M[g][g'] = [lam^(2g-2)] K_{g'} for g' <= g, each
+    as (numerators, den) from :func:`~curvecount.series._numerators`."""
     kernels = [_cover_kernel(gp, 2 * g_out - 2) for gp in range(g_out + 1)]
-    return [[k.coefficient(2 * g - 2) for k in kernels[:g + 1]]
+    return [_numerators([k.coefficient(2 * g - 2) for k in kernels[:g + 1]])
             for g in range(g_out + 1)]
 
 
-def _dot(row: list, xs: list) -> Fraction:
-    """sum row[i] xs[i] over the shorter of the two."""
-    return sum((c * x for c, x in zip(row, xs) if x), Fraction(0))
+def _dot(row: tuple[list[int], int], xs: list) -> Fraction:
+    """sum row[i] xs[i] over the shorter of the two, for a row of _basis."""
+    cs, den = row
+    ns, xden = _numerators(xs[:len(cs)])
+    return Fraction(sum(map(mul, cs, ns)), den * xden)
 
 
 def _covers(v: dict, g: int, d: int, r_min: int) -> Fraction:

@@ -456,3 +456,19 @@ def test_negative_window_options_are_rejected(tmp_path, capsys):
                  "--gmax", "0", "--dmax", "0"]) == 1
     assert capsys.readouterr().err == "error: d_max must be >= 1, got 0\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("direction, flags, message", [
+    ("gv2gw", ["--gmax", "-1", "--dmax", "3"], "g_max must be >= 0, got -1"),
+    ("gv2gw", ["--gmax", "2", "--dmax", "0"], "d_max must be >= 1, got 0"),
+    ("gv2pt", ["--dmax", "0", "--qwindow", "0:4"], "d_max must be >= 1, got 0"),
+], ids=["gv2gw_gmax", "gv2gw_dmax", "gv2pt_dmax"])
+def test_bad_window_flags_on_a_csv_table_name_no_file(tmp_path, capsys,
+                                                      direction, flags,
+                                                      message):
+    src = write(tmp_path / "gv.csv", "g,d,value\n0,1,2875\n")
+    out = tmp_path / "out.csv"
+    assert main(["transform", direction, "--in", src, "--out", str(out),
+                 *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

@@ -256,3 +256,14 @@ def test_json_round_trip():
     assert LaurentSeries.from_json_dict(d) == f
     assert d["coeffs"] == ["1/6", "0", "-3/5", "1"]
     assert d["variable"] == "q" and d["min_exp"] == -2 and d["trunc"] == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LaurentSeries("x", 0, [], -1) ** 0,
+    lambda: LaurentSeries("x", -2, [3], -2) ** 0,
+    lambda: LaurentSeries.one("x", -1),
+], ids=["empty_power_0", "power_0", "one"])
+def test_one_below_x0_names_the_window(make):
+    message = r"^1 is not known on a window ending at x\^-[12]$"
+    with pytest.raises(WindowError, match=message):
+        make()

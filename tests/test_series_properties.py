@@ -1,5 +1,7 @@
 """Property tests: powers against products, the window law for f*g,
-reversion against composition, log against exp.
+reversion against composition, log against exp, and the integer kernels
+(the product, Miller's power recurrence, the genus-matrix dot) against the
+Fraction loops they replaced.
 
 Run with hypothesis when it is installed; the reversion and inverse oracles
 also need sympy.  Both are test-only dependencies.
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 
 import pytest
 
@@ -22,12 +25,14 @@ except ImportError:
 
 from curvecount.series import (  # noqa: E402
     LaurentSeries,
+    _unit_power,
     series_compose,
     series_exp,
     series_log,
     series_invert,
     series_reversion,
 )
+from curvecount.transforms import _basis, _cover_kernel, _dot  # noqa: E402
 
 settings = hypothesis.settings(max_examples=40, deadline=None)
 values = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -173,3 +178,98 @@ def test_reversion_matches_sympy(m):
     for k in range(1, m.trunc_order + 1):
         c = oracle.coeff(y ** k)
         assert w.coefficient(k) == Fraction(int(c.numerator), int(c.denominator))
+
+
+# -- the integer kernels against the Fraction loops they replaced ----------
+
+# Large primes, so the denominators of a series are pairwise coprime and
+# their lcm is their product.
+PRIMES = [2 ** 31 - 1, 2 ** 61 - 1, 10 ** 9 + 7, 10 ** 9 + 9, 998244353]
+big_values = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                       st.sampled_from(PRIMES))
+mixed_values = st.one_of(st.just(Fraction(0)), values, big_values)
+big_leading = st.one_of(leading, big_values.filter(lambda c: c != 0))
+
+
+@st.composite
+def mixed_laurent(draw, max_trunc: int = 12):
+    """f on [a, T], a in -3..3, with large coprime denominators and interior
+    zeros; T = a - 1 gives the empty window."""
+    a = draw(st.integers(-3, 3))
+    T = draw(st.integers(a - 1, max_trunc))
+    cs = draw(st.lists(mixed_values, min_size=T - a + 1, max_size=T - a + 1))
+    return LaurentSeries("x", a, cs, T)
+
+
+def reference_mul(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
+    """The Fraction double loop that f * g used before integer numerators."""
+    lo = f.min_exp + g.min_exp
+    trunc = min(f.trunc_order + g.min_exp, g.trunc_order + f.min_exp)
+    acc = [Fraction(0)] * max(trunc - lo + 1, 0)
+    for i, a in enumerate(f.coeffs):
+        if not a:
+            continue
+        ei = f.min_exp + i
+        for j, b in enumerate(g.coeffs):
+            e = ei + g.min_exp + j
+            if e > trunc:
+                break
+            if b:
+                acc[e - lo] += a * b
+    return LaurentSeries(f.variable, lo, acc, trunc)
+
+
+def reference_unit_power(u, alpha: int, count: int) -> list:
+    """The Fraction form of Miller's recurrence that _unit_power replaced."""
+    u0 = u[0]
+    p = [u0 ** alpha]
+    for k in range(1, count):
+        s = Fraction(0)
+        for j in range(1, k + 1):
+            if u[j]:
+                s += ((alpha + 1) * j - k) * u[j] * p[k - j]
+        p.append(s / (k * u0))
+    return p
+
+
+@settings
+@hypothesis.given(mixed_laurent(), mixed_laurent())
+def test_product_matches_the_fraction_loop(f, g):
+    fg = f * g
+    assert fg == reference_mul(f, g)  # window included
+    assert all(type(c) is Fraction for c in fg.coeffs)
+
+
+@settings
+@hypothesis.given(st.integers(0, 12).flatmap(
+    lambda n: st.tuples(big_leading, st.lists(mixed_values, min_size=n,
+                                              max_size=n))),
+    st.integers(-6, 6), st.data())
+def test_unit_power_matches_the_fraction_recurrence(u, alpha, data):
+    u = (u[0], *u[1])
+    count = data.draw(st.integers(1, len(u)))
+    assert _unit_power(u, alpha, count) == \
+        reference_unit_power(u, alpha, count)
+
+
+def fraction_rows(g_out: int) -> list[list[Fraction]]:
+    kernels = [_cover_kernel(gp, 2 * g_out - 2) for gp in range(g_out + 1)]
+    return [[k.coefficient(2 * g - 2) for k in kernels[:g + 1]]
+            for g in range(g_out + 1)]
+
+
+def test_basis_rows_are_numerators_over_the_row_lcm():
+    for (cs, den), row in zip(_basis(12), fraction_rows(12), strict=True):
+        assert den == lcm(*(c.denominator for c in row))
+        assert [Fraction(c, den) for c in cs] == row
+
+
+@settings
+@hypothesis.given(st.integers(0, 12), st.lists(
+    st.one_of(mixed_values, st.integers(-10 ** 6, 10 ** 6)), max_size=14))
+def test_dot_matches_the_fraction_sum(g, xs):
+    row = fraction_rows(12)[g]
+    dot = _dot(_basis(12)[g], xs)
+    assert type(dot) is Fraction
+    assert dot == sum((c * x for c, x in zip(row, xs)), Fraction(0))
+
