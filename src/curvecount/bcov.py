@@ -1,16 +1,17 @@
-"""Holomorphic-ambiguity bookkeeping and the two triangular linear solves.
+"""Holomorphic-ambiguity bookkeeping and the two closed-form solves.
 
 For genus g >= 2 the ambiguity polynomial sum_{i=0}^{3g-3} a_i Y^i has its
 coefficients pinned in three stages: regularity zeros a_i for
-i <= ceil((3g-3)/5), the conifold-gap match fixes a_i for i >= g by reading
-coefficients of Delta^{-1}..Delta^{-(2g-2)} (upper triangular with unit
-pivots because Y^k = Delta^{-k}(1 + O(Delta))), and the remaining
+i <= ceil((3g-3)/5), the conifold-gap match fixes a_i for i >= g from the
+coefficients of Delta^{-1}..Delta^{-(2g-2)}, and the remaining
 floor((2g-2)/5) middle coefficients come from low-degree data by matching
-q^0..q^E against the basis (1 - 5^5 q)^k (triangular with pivots
-(-5^5)^k).  The frames delta(q), Delta(delta) and the low-degree data are
-external inputs; only the solves live here.  A ConifoldFrame derives
-Y = 1 + 1/delta(Delta) once and builds each power of Y at most once, so
-gap solves at several genera on one frame share their products.
+q^0..q^E against the basis (1 - 5^5 q)^k.  Both solves are closed-form sums:
+with Y = Delta^{-1} u(Delta), the gap match is the Lagrange-Buermann residue
+a_{i+g-1} = (1/i) sum_{j=i}^{2g-2} j r_j [Delta^{j-i}] u^{-i} of the
+principal coefficients r_j, and the middle match is the binomial inversion
+a_{g-1-k} = sum_{j=k}^{K} (-1)^{j-k} C(j,k) t_j / (-5^5)^j of the data t_j.
+The frames delta(q), Delta(delta) and the low-degree data are external
+inputs; only the solves live here.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from .bernoulli import bernoulli
 from .bounds import bps_threshold, extremal_gv, max_vanishing_degree
@@ -25,6 +27,8 @@ from .series import (
     LaurentSeries,
     WindowError,
     _json_fields,
+    _numerators,
+    _unit_power,
     format_rational,
     series_invert,
     series_reversion,
@@ -131,9 +135,7 @@ class ConifoldFrame:
     delta_of_q and Delta_of_delta (with Delta = delta + O(delta^2)) are
     supplied.  Y as a series in Delta is derived from Y^{-1} = delta/(1+delta),
     that is Y = 1 + 1/delta(Delta) with delta(Delta) the compositional
-    inverse of Delta(delta); it satisfies Y = Delta^{-1}(1 + O(Delta)).  The
-    powers Y^2, Y^3, ... are built once per frame and shared by every gap
-    solve on it; that memo is not a field, so ==, repr and JSON ignore it.
+    inverse of Delta(delta); it satisfies Y = Delta^{-1}(1 + O(Delta)).
     """
 
     delta_of_q: LaurentSeries
@@ -152,22 +154,6 @@ class ConifoldFrame:
         object.__setattr__(self, "delta_of_q", delta_of_q)
         object.__setattr__(self, "delta_to_flat", delta_to_flat)
         object.__setattr__(self, "y_of_flat", y)
-        object.__setattr__(self, "_y_power_memo", (None, y))
-
-    def _y_powers(self, n: int) -> tuple:
-        """(None, Y, Y^2, ..., Y^n), extending the frame's memo on demand.
-
-        The memo tuple is replaced by a longer one, never mutated, so a frame
-        stays safe to share across threads.
-        """
-        powers = self._y_power_memo
-        if len(powers) <= n:
-            grown = list(powers)
-            while len(grown) <= n:
-                grown.append(grown[-1] * self.y_of_flat)
-            powers = tuple(grown)
-            object.__setattr__(self, "_y_power_memo", powers)
-        return powers[:n + 1]
 
     @classmethod
     def toy(cls, trunc: int = 24) -> ConifoldFrame:
@@ -208,10 +194,13 @@ def gap_solve(g: int, known_terms: LaurentSeries,
               frame: ConifoldFrame) -> dict[int, Fraction]:
     """Fix a_g..a_{3g-3} by matching Delta^{-1}..Delta^{-(2g-2)}.
 
-    Solves sum_{i=1}^{2g-2} a_{i+g-1} Y^i + known_terms = target Delta^{-(2g-2)}
-    modulo Delta^0.  The system is upper triangular with unit pivots since
-    Y^i = Delta^{-i}(1 + O(Delta)); the solution is unique.  The powers
-    Y^1..Y^(2g-2) come from the frame's memo.
+    Solves sum_{i=1}^{w} x_i Y^i = R modulo Delta^0, w = 2g-2, with
+    R = target Delta^{-w} - known_terms and x_i = a_{i+g-1}.  With
+    Y = Delta^{-1} u(Delta), u_0 = 1, the unique solution is the
+    Lagrange-Buermann sum x_i = (1/i) sum_{j=i}^{w} j r_j [Delta^{j-i}] u^{-i}
+    over the principal coefficients r_j = [Delta^{-j}] R, taken on integer
+    numerators.  A pole of known_terms deeper than Delta^{-w} raises
+    ValueError: no polynomial in Y of degree w cancels it.
     """
     _check_genus(g)
     width = 2 * g - 2
@@ -223,20 +212,18 @@ def gap_solve(g: int, known_terms: LaurentSeries,
             f"frame Y window too small: need trunc >= {width - 2}")
     if known_terms.variable != y.variable:
         raise ValueError("known terms must be a series in the flat coordinate")
-    powers = frame._y_powers(width)
-    target = gap_target(g)
-    x: dict[int, Fraction] = {}
-    for j in range(width, 0, -1):
-        rhs = (target if j == width else Fraction(0)) \
-            - known_terms.coefficient(-j)
-        acc = rhs
-        for i in range(j + 1, width + 1):
-            acc -= x[i] * powers[i].coefficient(-j)
-        pivot = powers[j].coefficient(-j)
-        if pivot == 0:
-            raise ValueError("singular gap system: invalid frame")
-        x[j] = acc / pivot
-    return {i + g - 1: x[i] for i in range(1, width + 1)}
+    if known_terms.min_exp < -width:
+        raise ValueError(
+            f"known terms have a pole at Delta^{known_terms.min_exp}, deeper "
+            f"than the gap's Delta^{-width}")
+    jr = [-j * known_terms.coefficient(-j) for j in range(1, width + 1)]
+    jr[-1] += width * gap_target(g)
+    jr, den = _numerators(jr)  # jr[j - 1] / den = j r_j
+    x = {}
+    for i in range(1, width + 1):
+        c, dc = _numerators(_unit_power(y.coeffs, -i, width - i + 1))
+        x[i + g - 1] = Fraction(sum(map(mul, jr[i - 1:], c)), den * dc * i)
+    return x
 
 
 @dataclass(frozen=True)
@@ -258,13 +245,18 @@ def castelnuovo_solve(g: int, known_poly_q: LaurentSeries, Dg: int,
     """Fix the middle coefficients from degree <= Dg data.
 
     Matches q^0..q^E of sum_{k=0}^{K} a_{g-1-k} (1 - 5^5 q)^k against
-    (supplied degree data) - known_poly_q, K = floor(2(g-1)/5) and
+    t = (supplied degree data) - known_poly_q, K = floor(2(g-1)/5) and
     E = min(Dg, K); supplied_gw[j] is the degree-j datum, j from 0.  With
-    E = K the system is triangular with pivots (-5^5)^k and solves uniquely
-    top power down; with E < K the K - E missing initial conditions leave
-    the system underdetermined and the result reports them as unresolved.
+    E = K the solution is the binomial inversion
+    a_{g-1-k} = sum_{j=k}^{K} (-1)^{j-k} C(j,k) t_j / (-5^5)^j; with E < K
+    the K - E missing initial conditions leave the system underdetermined
+    and the result reports them as unresolved.
     """
     K = len(castelnuovo_indices(g))
+    if Dg < 0:
+        raise ValueError(f"max vanishing degree must be >= 0, got {Dg}")
+    if known_poly_q.variable != "q":
+        raise ValueError("known polynomial must be a series in q")
     E = min(Dg, K)
     if len(supplied_gw) < E + 1:
         raise ValueError(f"need degree data through q^{E}")
@@ -274,17 +266,12 @@ def castelnuovo_solve(g: int, known_poly_q: LaurentSeries, Dg: int,
         missing = tuple(range(E + 1, K + 1))
         unresolved = tuple(g - 1 - k for k in missing)
         return CastelnuovoSolveResult(g, {}, unresolved, E, K, missing)
-    t = [Fraction(supplied_gw[j]) - known_poly_q.coefficient(j)
-         for j in range(K + 1)]
-    base = Fraction(-QUINTIC_CONIFOLD)
-    x: dict[int, Fraction] = {}
-    for j in range(K, -1, -1):
-        acc = t[j] / base ** j
-        for k in range(j + 1, K + 1):
-            acc -= x[k] * comb(k, j)
-        x[j] = acc
-    return CastelnuovoSolveResult(
-        g, {g - 1 - k: v for k, v in x.items()}, (), E, K, ())
+    s = [(Fraction(supplied_gw[j]) - known_poly_q.coefficient(j))
+         / (-QUINTIC_CONIFOLD) ** j for j in range(K + 1)]
+    values = {g - 1 - k: sum((-1) ** (j - k) * comb(j, k) * s[j]
+                             for j in range(k, K + 1))
+              for k in range(K, -1, -1)}
+    return CastelnuovoSolveResult(g, values, (), E, K, ())
 
 
 def assemble_fg(coeffs, y: LaurentSeries) -> LaurentSeries:

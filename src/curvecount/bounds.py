@@ -82,12 +82,16 @@ def bps_threshold(d: int) -> Fraction:
     return Fraction(d * d + 5 * d + 10, 10)
 
 
+def _genus_bound(n: int, i: int, m: int, d: int) -> Fraction:
+    """d^2/(2nm) + ((m-i)/2) d + 1, the one home of the divisor-type bounds."""
+    return Fraction(d * d, 2 * n * m) + Fraction(m - i, 2) * d + 1
+
+
 def genus_bound_general(profile: ThreefoldProfile, d: int) -> BoundReport:
     """d^2/(2n) + ((1-i)/2) d + 1."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    n, i = profile.degree, profile.index
-    b = Fraction(d * d, 2 * n) + Fraction(1 - i, 2) * d + 1
+    b = _genus_bound(profile.degree, profile.index, 1, d)
     return BoundReport.make(d, b, "general-bmt")
 
 
@@ -97,8 +101,7 @@ def genus_bound_hypersurface(n: int, d: int) -> BoundReport:
         raise ValueError("hypersurface bound needs n <= 5")
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
-    b = Fraction(d * d, 2 * n) + Fraction(n - 4, 2) * d + 1
-    return BoundReport.make(d, b, "hypersurface")
+    return BoundReport.make(d, _genus_bound(n, 5 - n, 1, d), "hypersurface")
 
 
 def genus_bound_nonhyperplane(n: int, d: int) -> BoundReport:
@@ -118,8 +121,7 @@ def genus_bound_divisor(n: int, i: int, m: int, d: int) -> BoundReport:
         raise ValueError("m must be >= 1")
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
-    b = Fraction(d * d, 2 * n * m) + Fraction(m - i, 2) * d + 1
-    return BoundReport.make(d, b, "divisor")
+    return BoundReport.make(d, _genus_bound(n, i, m, d), "divisor")
 
 
 def _h0_quintic_surface(m: int) -> int:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import KIND_QUINTIC, ThreefoldProfile
+from .bounds import KIND_QUINTIC, ThreefoldProfile, _genus_bound
 
 __all__ = [
     "ChernCharacter",
@@ -380,7 +380,7 @@ def extremal_wall_analysis(n: int, d: int) -> ExtremalWallReport:
     if numerical_wall(v, ChernCharacter(v.profile, 1, x, y, 0)) != wall:
         raise AssertionError("solved subobject does not induce the tangent wall")
 
-    genus = Fraction(d * d, 2 * n) + Fraction(n - 4, 2) * d + 1
+    genus = _genus_bound(1, 4, n, d)  # a degree-n surface in P^3
     return ExtremalWallReport(
         n, d, center, radius_sq, x, y, x.denominator == 1, genus,
         genus.denominator == 1)

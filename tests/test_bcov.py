@@ -1,4 +1,10 @@
-"""Ambiguity index bookkeeping and the two triangular solves."""
+"""Ambiguity index bookkeeping and the two closed-form solves.
+
+The gap solve is a Lagrange-Buermann residue sum in the coefficients of
+u^{-i}, Y = Delta^{-1} u(Delta); the Castelnuovo solve is a binomial
+inversion of the low-degree data.  Both are checked against round trips
+through ``assemble_fg`` and a binomial expansion, up to the paper's g = 53.
+"""
 
 from __future__ import annotations
 
@@ -113,6 +119,13 @@ def test_gap_solve_round_trip_nontrivial_frame():
         assert gap_solve(g, target - assembled, frame) == chosen
 
 
+def test_gap_solve_rejects_a_pole_deeper_than_the_gap():
+    # 7 Delta^-3 at g = 2: no polynomial of degree 2 in Y can cancel it.
+    known = LaurentSeries("Delta", -3, [7, 0, 0, 0], 0)
+    with pytest.raises(ValueError, match=r"Delta\^-3"):
+        gap_solve(2, known, ConifoldFrame.toy(12))
+
+
 def test_gap_solve_window_too_small():
     frame = ConifoldFrame.toy(4)
     with pytest.raises(WindowError):
@@ -132,7 +145,7 @@ def test_castelnuovo_solve_round_trip():
     from math import comb
 
     rng = random.Random(7)
-    for g in range(2, 7):
+    for g in [*range(2, 7), 51, 52, 53]:
         K = (2 * (g - 1)) // 5
         chosen = {g - 1 - k: F(rng.randint(-9, 9), rng.randint(1, 5))
                   for k in range(K + 1)}
@@ -142,6 +155,15 @@ def test_castelnuovo_solve_round_trip():
                 for j in range(K + 1)]
         res = castelnuovo_solve(g, LaurentSeries.zero("q", K), K, data)
         assert res.closed and res.values == chosen
+
+
+@pytest.mark.parametrize("known, Dg, data", [
+    (LaurentSeries.zero("Delta", 1), 1, [F(3), F(-6250)]),
+    (LaurentSeries.zero("q", 1), -1, []),
+], ids=["series_in_Delta", "negative_Dg"])
+def test_castelnuovo_solve_rejects_bad_inputs(known, Dg, data):
+    with pytest.raises(ValueError):
+        castelnuovo_solve(4, known, Dg, data)
 
 
 def test_castelnuovo_solve_deficit_reports_unresolved():
@@ -223,11 +245,25 @@ def test_y_is_the_inverse_of_delta_over_one_plus_delta():
                                                 y.trunc_order)
 
 
-def test_shared_y_powers_change_no_answer():
+def test_gap_solve_round_trip_at_the_paper_genera():
+    # The paper's gap solves at g = 51..53 need a Y window of about 104.
+    rng = random.Random(53)
+    frame = _dense_frame(11, 104)
+    y = frame.y_of_flat
+    for g in (51, 53):
+        chosen = {i: F(rng.randint(-20, 20), rng.randint(1, 6))
+                  for i in gap_indices(g)}
+        assembled = assemble_fg(
+            {i - (g - 1): c for i, c in chosen.items()}, y)
+        target = LaurentSeries.monomial("Delta", -(2 * g - 2), gap_target(g), 0)
+        assert gap_solve(g, target - assembled, frame) == chosen
+
+
+def test_gap_solve_leaves_the_frame_unchanged():
     rng = random.Random(25)
     frame = _dense_frame(11, 48)
     before = (frame.to_json_dict(), repr(frame))
-    for g in (25, 23, 24):  # the memo first grows past what 23 and 24 need
+    for g in (25, 23, 24):
         known = LaurentSeries(
             "Delta", -(2 * g - 2),
             [F(rng.randint(-60, 60), rng.randint(1, 9)) for _ in range(2 * g - 1)],
@@ -267,5 +303,3 @@ def test_frame_shared_across_threads():
     for result in results:
         for g, values in result:
             assert values == want[g]
-    y = frame.y_of_flat
-    assert frame._y_powers(20)[1:] == tuple(y ** i for i in range(1, 21))

@@ -134,6 +134,22 @@ def test_bcov_gap_solve(tmp_path):
     assert values[3] == "1/240" and values[2] == "-1/120"
 
 
+def test_bcov_gap_solve_rejects_a_pole_deeper_than_the_gap(tmp_path, capsys):
+    from curvecount.bcov import ConifoldFrame
+
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(ConifoldFrame.toy(12).to_json_dict()))
+    known = tmp_path / "known.json"
+    known.write_text(json.dumps({"variable": "Delta", "min_exp": -3,
+                                 "trunc": 0, "coeffs": ["7", "0", "0", "0"]}))
+    out = tmp_path / "amb.json"
+    rc = main(["bcov", "gap-solve", "--g", "2", "--frame", str(frame),
+               "--known", str(known), "--out", str(out)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_command(tmp_path):
     src = write(tmp_path / "gv.csv", "g,d,value\n7,5,1\n")
     rep = tmp_path / "rep.json"
