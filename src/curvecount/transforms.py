@@ -9,11 +9,19 @@ is one matrix and one divisor sum:
 
     N_{g,d} = sum_{r | d} r^(2g-3) v_{d/r}[g],    v_{d'} = M n_{., d'}
 
-M is lower triangular with a unit diagonal, so the inverse is a forward
-substitution per degree.  K_{g'} = K_{g'-1} K_2 (g' >= 3) builds M with one
-product per genus.  Each row of M is stored as integer numerators over the
-row's lcm denominator, so a row times a vector is one integer dot product
-and one Fraction.
+Written as (1/d^3) sum_{r | d} r^(2g) (d/r)^3 v_{d/r}[g], the divisor sum has
+integer weights at every g, g = 0 and 1 included.  M is lower triangular
+with a unit diagonal, so the inverse is a forward substitution per degree.
+With k = g' - 1, K_{g'} = (2 sin(lam/2))^(2k) solves
+K_{g'}'' = 2k(2k-1) K_{g'-1} - k^2 K_{g'}, so for g' >= 2
+
+    [lam^m] K_{g'} = (2k(2k-1) [lam^(m-2)] K_{g'-1} - k^2 [lam^(m-2)] K_{g'})
+                     / (m(m-1)),    m = 2k, 2k+2, ...,
+
+one pass of O(T) per genus up to lam^T, and K_0 = K_2^(-1).  Each row of M is
+stored as integer numerators over the row's lcm denominator, and each vector
+it meets is converted once to numerators over one denominator, so a row
+times a vector is one integer dot product and one Fraction.
 
 The stable-pair side expands the same table in u := -q:
 
@@ -28,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd
 from operator import mul
 
 from .series import BivariateSeries, LaurentSeries, WindowError, _numerators
@@ -53,15 +61,23 @@ def _cover_kernel(g_prime: int, lam_trunc: int) -> LaurentSeries:
     """K_{g'} = (2 sin(lam/2))^(2g'-2), known up to lam^lam_trunc."""
     if g_prime == 1:
         return LaurentSeries.one("lambda", lam_trunc)
-    if g_prime >= 3:  # K_{g'} = K_{g'-1} * K_2
-        prev = _cover_kernel(g_prime - 1, lam_trunc)
-        return (prev * _cover_kernel(2, lam_trunc)).truncate(lam_trunc)
-    base_trunc = lam_trunc + (4 if g_prime == 0 else 0)
-    coeffs = [Fraction(0)] * (base_trunc + 1)
-    for j in range(1, base_trunc // 2 + 1):
-        coeffs[2 * j] = Fraction(2 * (-1) ** (j + 1), factorial(2 * j))
-    base = LaurentSeries("lambda", 0, coeffs, base_trunc)  # 2 - 2cos(lam)
-    return base.invert() if g_prime == 0 else base
+    if g_prime == 0:
+        return _cover_kernel(2, lam_trunc + 4).invert()
+    # Times m!, the recurrence of the module docstring runs on the integers
+    # e_m = m! [lam^m] K_{g'}: e_m = 2k(2k-1) e'_{m-2} - k^2 e_{m-2}, with e'
+    # those of K_{g'-1}, so each coefficient is one Fraction(e_m, m!)
+    k = g_prime - 1
+    prev = _cover_kernel(k, lam_trunc)
+    lo = min(2 * k, lam_trunc + 1)
+    cs = [Fraction(0)] * (lam_trunc - lo + 1)
+    e, fact = 0, factorial(2 * k - 2)  # fact = (m-2)!
+    for m in range(2 * k, lam_trunc + 1, 2):
+        p = prev.coefficient(m - 2)
+        e = 2 * k * (2 * k - 1) * p.numerator * (fact // p.denominator) \
+            - k * k * e
+        fact *= (m - 1) * m
+        cs[m - lo] = Fraction(e, fact)
+    return LaurentSeries("lambda", lo, cs, lam_trunc)
 
 
 def _basis(g_out: int) -> list[tuple[list[int], int]]:
@@ -72,17 +88,20 @@ def _basis(g_out: int) -> list[tuple[list[int], int]]:
             for g in range(g_out + 1)]
 
 
-def _dot(row: tuple[list[int], int], xs: list) -> Fraction:
-    """sum row[i] xs[i] over the shorter of the two, for a row of _basis."""
+def _dot(row: tuple[list[int], int], ns: list[int], nden: int) -> Fraction:
+    """sum row[i] ns[i] / nden over the shorter of the two, for a row of
+    _basis and a vector as (numerators, den)."""
     cs, den = row
-    ns, xden = _numerators(xs[:len(cs)])
-    return Fraction(sum(map(mul, cs, ns)), den * xden)
+    return Fraction(sum(map(mul, cs, ns)), den * nden)
 
 
 def _covers(v: dict, g: int, d: int, r_min: int) -> Fraction:
-    """sum_{r | d, r >= r_min} r^(2g-3) v[d/r][g]."""
-    return sum((Fraction(r) ** (2 * g - 3) * v[d // r][g]
-                for r in range(r_min, d + 1) if d % r == 0), Fraction(0))
+    """sum_{r | d, r >= r_min} r^(2g-3) v[d/r][g]
+    = sum r^(2g) (d/r)^3 v[d/r][g] / d^3, on integer weights."""
+    rs = [r for r in range(r_min, d + 1) if d % r == 0]
+    ns, den = _numerators([v[d // r][g] for r in rs])
+    return Fraction(sum(r ** (2 * g) * (d // r) ** 3 * x
+                        for r, x in zip(rs, ns)), den * d ** 3)
 
 
 def _require_window(table, g_out: int, d_out: int) -> None:
@@ -99,8 +118,9 @@ def gv_to_gw(gv: GvTable, g_out: int, d_out: int) -> GwTable:
     m = _basis(g_out)
     v = {}
     for dp in range(1, d_out + 1):
-        n = [gv.entries.get((gp, dp), 0) for gp in range(g_out + 1)]
-        v[dp] = [_dot(row, n) for row in m]
+        ns, nden = _numerators([gv.entries.get((gp, dp), 0)
+                                for gp in range(g_out + 1)])
+        v[dp] = [_dot(row, ns, nden) for row in m]
     out = {(g, d): _covers(v, g, d, 1)
            for d in range(1, d_out + 1) for g in range(g_out + 1)}
     return GwTable(out, g_out, d_out)
@@ -108,17 +128,26 @@ def gv_to_gw(gv: GvTable, g_out: int, d_out: int) -> GwTable:
 
 def gw_to_gv(gw: GwTable, g_out: int, d_out: int) -> GvTable:
     """Inverse of gv_to_gw, degrees ascending: v_d = N_{., d} minus the
-    r >= 2 covers of lower degrees, then M n_{., d} = v_d (M[g][g] = 1)."""
+    r >= 2 covers of lower degrees, then M n_{., d} = v_d (M[g][g] = 1).
+
+    The forward substitution keeps n_{g' < g} as integer numerators over one
+    denominator, grown to the lcm only when a new n_g needs it."""
     _require_window(gw, g_out, d_out)
     m = _basis(g_out)
     v = {}
     out: dict[tuple[int, int], Fraction] = {}
     for d in range(1, d_out + 1):
         v[d] = [gw.value(g, d) - _covers(v, g, d, 2) for g in range(g_out + 1)]
-        n: list[Fraction] = []
-        for g, row in enumerate(m):  # n holds g' < g: the diagonal drops out
-            n.append(v[d][g] - _dot(row, n))
-        out.update(((g, d), x) for g, x in enumerate(n))
+        nums: list[int] = []  # n_{g' < g} = nums[g'] / nden
+        nden = 1
+        for g, row in enumerate(m):  # the diagonal drops out: nums stops at g
+            x = out[(g, d)] = v[d][g] - _dot(row, nums, nden)
+            q = x.denominator
+            if nden % q:  # nden becomes lcm(nden, q)
+                grow = q // gcd(nden, q)
+                nums = [y * grow for y in nums]
+                nden *= grow
+            nums.append(x.numerator * (nden // q))
     return GvTable(out, g_out, d_out)
 
 

@@ -1,5 +1,6 @@
-"""Property tests: the GV<->GW and PT log/exp round trips are exact, and
-PT->DT by the degree-0 series 1 returns its input.
+"""Property tests: the GV<->GW and PT log/exp round trips are exact,
+PT->DT by the degree-0 series 1 returns its input, and the integer divisor
+sum of the GV<->GW dictionary equals its Fraction form.
 
 Each round trip runs one shared helper through both of its callers: the
 cover sum through gv_to_gw and gw_to_gv, the log/exp recurrences through
@@ -9,6 +10,7 @@ pt_connected_to_table (exp) and pt_table_to_connected (log).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +21,7 @@ from curvecount.bounds import bps_threshold  # noqa: E402
 from curvecount.series import BivariateSeries, LaurentSeries  # noqa: E402
 from curvecount.tables import GvTable, PtTable  # noqa: E402
 from curvecount.transforms import (  # noqa: E402
+    _covers,
     gv_to_gw,
     gw_to_gv,
     pt_connected_to_table,
@@ -46,6 +49,53 @@ def gv_tables(draw) -> GvTable:
 def test_gv_gw_gv_round_trip_is_exact(gv):
     gw = gv_to_gw(gv, gv.g_max, gv.d_max)
     assert gw_to_gv(gw, gv.g_max, gv.d_max) == gv
+
+
+PRIMES = [p for p in range(2, 400) if all(p % q for q in range(2, p))]
+
+
+@st.composite
+def rational_gv_tables(draw) -> GvTable:
+    """GV data on a window g <= 6, d <= 6 whose entries have distinct,
+    pairwise coprime denominators (one prime each), so the forward
+    substitution of gw_to_gv must grow its common denominator."""
+    g_max = draw(st.integers(0, 6))
+    d_max = draw(st.integers(1, 6))
+    cells = [(g, d) for d in range(1, d_max + 1) for g in range(g_max + 1)]
+    keys = draw(st.lists(st.sampled_from(cells), unique=True))
+    dens = draw(st.permutations(PRIMES))[:len(keys)]
+    nums = draw(st.lists(st.integers(-50, 50).filter(bool),
+                         min_size=len(keys), max_size=len(keys)))
+    return GvTable({key: Fraction(n, q) for key, n, q in
+                    zip(keys, nums, dens)}, g_max, d_max)
+
+
+@settings
+@hypothesis.given(rational_gv_tables())
+def test_gv_gw_gv_round_trip_on_rational_entries(gv):
+    gw = gv_to_gw(gv, gv.g_max, gv.d_max)
+    assert gw_to_gv(gw, gv.g_max, gv.d_max) == gv
+
+
+def reference_covers(v: dict, g: int, d: int, r_min: int) -> Fraction:
+    """The divisor sum with the exponent 2g - 3 as written."""
+    return sum((Fraction(r) ** (2 * g - 3) * v[d // r][g]
+                for r in range(r_min, d + 1) if d % r == 0), Fraction(0))
+
+
+@settings
+@hypothesis.given(st.integers(0, 4).flatmap(lambda g_max: st.lists(
+    st.lists(st.fractions(max_denominator=30),
+             min_size=g_max + 1, max_size=g_max + 1),
+    min_size=12, max_size=12)))
+def test_covers_matches_the_fraction_sum(rows):
+    v = dict(enumerate(rows, start=1))  # v[d'][g] for d' <= 12
+    for g in range(len(rows[0])):  # g = 0, 1: the exponent 2g - 3 is < 0
+        for d in range(1, 13):
+            for r_min in (1, 2):
+                got = _covers(v, g, d, r_min)
+                assert type(got) is Fraction
+                assert got == reference_covers(v, g, d, r_min)
 
 
 @st.composite

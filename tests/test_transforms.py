@@ -111,6 +111,33 @@ def test_cover_kernel_rescales_to_every_cover():
                         (r, g_prime, lam_trunc, g)
 
 
+def test_cover_kernel_matches_sympy_series():
+    """The ODE kernels against sympy's expansion, the Laurent g' = 0 too."""
+    sympy = pytest.importorskip("sympy")
+    lam = sympy.Symbol("lambda")
+    lam_trunc = 20
+    for g_prime in range(0, 11):
+        want = sympy.series((2 * sympy.sin(lam / 2)) ** (2 * g_prime - 2),
+                            lam, 0, lam_trunc + 1).removeO()
+        kernel = _cover_kernel(g_prime, lam_trunc)
+        assert kernel.trunc_order == lam_trunc
+        for e in range(-2, lam_trunc + 1):
+            c = want.coeff(lam, e)
+            assert kernel.coefficient(e) == F(int(c.p), int(c.q)), \
+                (g_prime, e)
+
+
+def test_cover_kernel_is_the_power_of_k2_at_the_paper_genus():
+    # K_{g'} = K_2^(g'-1), the power from Miller's recurrence; K_0 K_2 = 1
+    lam_trunc = 104
+    k2 = _cover_kernel(2, lam_trunc)
+    for g_prime in range(1, 54):
+        want = (k2 ** (g_prime - 1)).truncate(lam_trunc)
+        assert _cover_kernel(g_prime, lam_trunc) == want, g_prime
+    assert _cover_kernel(0, lam_trunc) * k2 == \
+        LaurentSeries.one("lambda", lam_trunc - 2)
+
+
 def reference_gv_to_gw(gv: GvTable, g_out: int, d_out: int) -> dict:
     """The cover sum cell by cell, one direct kernel per (r, g')."""
     lam_trunc = 2 * g_out - 2
