@@ -5,10 +5,13 @@ coefficients pinned in three stages: regularity zeros a_i for
 i <= ceil((3g-3)/5), the conifold-gap match fixes a_i for i >= g from the
 coefficients of Delta^{-1}..Delta^{-(2g-2)}, and the remaining
 floor((2g-2)/5) middle coefficients come from low-degree data by matching
-q^0..q^E against the basis (1 - 5^5 q)^k.  Both solves are closed-form sums:
-with Y = Delta^{-1} u(Delta), the gap match is the Lagrange-Buermann residue
-a_{i+g-1} = (1/i) sum_{j=i}^{2g-2} j r_j [Delta^{j-i}] u^{-i} of the
-principal coefficients r_j, and the middle match is the binomial inversion
+q^0..q^E against the basis (1 - 5^5 q)^k.  Both solves are closed-form sums.
+The gap match runs in s = 1/Y = delta/(1+delta), so delta = s/(1-s) and
+Delta(s) is the binomial transform [s^n] Delta = sum_{k=1}^{n} C(n-1, k-1) c_k
+of the supplied Delta(delta) = sum c_k delta^k, and with w = 2g-2 and the
+principal part R(Delta) = sum_{j=1}^{w} r_j Delta^{-j} = P(Delta) Delta^{-w}
+that the gap prescribes, a_{i+g-1} = [s^{-i}] R(Delta(s)).  The middle
+match is the binomial inversion
 a_{g-1-k} = sum_{j=k}^{K} (-1)^{j-k} C(j,k) t_j / (-5^5)^j of the data t_j.
 The frames delta(q), Delta(delta) and the low-degree data are external
 inputs; only the solves live here.
@@ -19,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from operator import mul
 
 from .bernoulli import bernoulli
 from .bounds import bps_threshold, extremal_gv, max_vanishing_degree
@@ -28,8 +30,8 @@ from .series import (
     WindowError,
     _json_fields,
     _numerators,
-    _unit_power,
     format_rational,
+    series_compose,
     series_invert,
     series_reversion,
 )
@@ -136,6 +138,8 @@ class ConifoldFrame:
     supplied.  Y as a series in Delta is derived from Y^{-1} = delta/(1+delta),
     that is Y = 1 + 1/delta(Delta) with delta(Delta) the compositional
     inverse of Delta(delta); it satisfies Y = Delta^{-1}(1 + O(Delta)).
+    The gap solve needs no inverse: in s = 1/Y = delta/(1+delta),
+    Delta(s) = Delta(s/(1-s)) is a binomial transform of Delta(delta).
     """
 
     delta_of_q: LaurentSeries
@@ -195,12 +199,16 @@ def gap_solve(g: int, known_terms: LaurentSeries,
     """Fix a_g..a_{3g-3} by matching Delta^{-1}..Delta^{-(2g-2)}.
 
     Solves sum_{i=1}^{w} x_i Y^i = R modulo Delta^0, w = 2g-2, with
-    R = target Delta^{-w} - known_terms and x_i = a_{i+g-1}.  With
-    Y = Delta^{-1} u(Delta), u_0 = 1, the unique solution is the
-    Lagrange-Buermann sum x_i = (1/i) sum_{j=i}^{w} j r_j [Delta^{j-i}] u^{-i}
-    over the principal coefficients r_j = [Delta^{-j}] R, taken on integer
-    numerators.  A pole of known_terms deeper than Delta^{-w} raises
-    ValueError: no polynomial in Y of degree w cancels it.
+    R = target Delta^{-w} - known_terms and x_i = a_{i+g-1}.  In
+    s = 1/Y = delta/(1+delta) the left side is sum_i x_i s^{-i}, so
+    x_i = [s^{-i}] R(Delta(s)) = [s^{-i}] P(Delta(s)) Delta(s)^{-w}, with
+    [s^n] Delta(s) = sum_{k=1}^{n} C(n-1, k-1) c_k for the supplied
+    Delta(delta) = sum c_k delta^k and P(z) = sum_{j=1}^{w} r_j z^{w-j} over
+    the principal coefficients r_j = [Delta^{-j}] R: one composition, one
+    power and one product.  Delta(s) is needed on [1, w], the frame's
+    Delta(delta) window, equivalently Y's window through Delta^{w-2}.  A pole
+    of known_terms deeper than Delta^{-w} raises ValueError: no polynomial in
+    Y of degree w cancels it.
     """
     _check_genus(g)
     width = 2 * g - 2
@@ -216,14 +224,15 @@ def gap_solve(g: int, known_terms: LaurentSeries,
         raise ValueError(
             f"known terms have a pole at Delta^{known_terms.min_exp}, deeper "
             f"than the gap's Delta^{-width}")
-    jr = [-j * known_terms.coefficient(-j) for j in range(1, width + 1)]
-    jr[-1] += width * gap_target(g)
-    jr, den = _numerators(jr)  # jr[j - 1] / den = j r_j
-    x = {}
-    for i in range(1, width + 1):
-        c, dc = _numerators(_unit_power(y.coeffs, -i, width - i + 1))
-        x[i + g - 1] = Fraction(sum(map(mul, jr[i - 1:], c)), den * dc * i)
-    return x
+    c, den = _numerators(frame.delta_to_flat.coeffs[:width])  # c_1..c_w
+    ds = LaurentSeries("s", 1, [
+        Fraction(sum(comb(n - 1, k) * c[k] for k in range(n)), den)
+        for n in range(1, width + 1)], width)
+    r = [-known_terms.coefficient(-j) for j in range(width, 0, -1)]
+    r[0] += gap_target(g)
+    p = LaurentSeries("Delta", 0, r, width - 1)  # [Delta^k] P = r_{w-k}
+    x = series_compose(p, ds) * ds ** -width
+    return {i + g - 1: x.coefficient(-i) for i in range(1, width + 1)}
 
 
 @dataclass(frozen=True)
@@ -266,10 +275,11 @@ def castelnuovo_solve(g: int, known_poly_q: LaurentSeries, Dg: int,
         missing = tuple(range(E + 1, K + 1))
         unresolved = tuple(g - 1 - k for k in missing)
         return CastelnuovoSolveResult(g, {}, unresolved, E, K, missing)
-    s = [(Fraction(supplied_gw[j]) - known_poly_q.coefficient(j))
-         / (-QUINTIC_CONIFOLD) ** j for j in range(K + 1)]
-    values = {g - 1 - k: sum((-1) ** (j - k) * comb(j, k) * s[j]
-                             for j in range(k, K + 1))
+    s, den = _numerators([
+        (Fraction(supplied_gw[j]) - known_poly_q.coefficient(j))
+        / (-QUINTIC_CONIFOLD) ** j for j in range(K + 1)])  # s_j = s[j] / den
+    values = {g - 1 - k: Fraction(sum((-1) ** (j - k) * comb(j, k) * s[j]
+                                      for j in range(k, K + 1)), den)
               for k in range(K, -1, -1)}
     return CastelnuovoSolveResult(g, values, (), E, K, ())
 

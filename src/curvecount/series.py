@@ -13,10 +13,12 @@ so windows shrink when negative exponents convolve.  Every power, f ** -1
 included, comes from one recurrence.
 
 Coefficients are :class:`~fractions.Fraction` values, and that stays the
-public type, but the exact hot loops (the product and the power recurrence)
-do not normalize a Fraction after every step: they bring their inputs to
-integer numerators over one common denominator (:func:`_numerators`), run on
-Python integers and build one Fraction per output value.
+public type, but the exact hot loops (the product, the power recurrence and
+composition) do not normalize a Fraction after every step: they bring their
+inputs to integer numerators over one common denominator
+(:func:`_numerators`), run on Python integers and build one Fraction per
+output value.  Composition f(m) is one Horner pass on those numerators over
+one running denominator, each step truncated by the valuation of m.
 
 A :class:`BivariateSeries` is a finite t-graded stack of Laurent series in
 one secondary variable (the degree-0 layer of a generating series is treated
@@ -381,28 +383,39 @@ def _exp_terms(f: list) -> list:
 
 
 def _compose_power_series(f: LaurentSeries, m: LaurentSeries) -> LaurentSeries:
-    """f(m(x)) for a power series f (min_exp >= 0) and m of valuation >= 1."""
+    """f(m(x)) for a power series f (min_exp >= 0) and m of valuation >= 1.
+
+    Known on [0, trunc], trunc = min(v (T_f + 1) - 1, T_m) for m of
+    valuation v; an f known on no exponent >= 0 gives the zero series on
+    that empty window.  Horner's rule acc_k = f_k + m acc_{k+1} ends in
+    acc_0 = f(m), and acc_k is multiplied by m^k, of valuation v k, so it is
+    needed only mod x^(trunc + 1 - v k) and the pass starts at
+    k = top = trunc // v.  It runs on integers: f_k = a_k / Df,
+    m = x^v (b_0 + b_1 x + ...) / Dm and acc_k = A_k / (Df Dm^(top-k)), so
+    A_k = a_k Dm^(top-k) + x^v (b * A_{k+1}), with one Fraction per output
+    coefficient.
+    """
     if f.min_exp < 0:
         raise ValueError("composition target must be a power series")
     if m.is_zero or m.min_exp < 1:
         raise ValueError("composition argument needs valuation >= 1")
     v = m.min_exp
     trunc = min(v * (f.trunc_order + 1) - 1, m.trunc_order)
-    if f.trunc_order >= 0:
-        out = LaurentSeries.monomial(m.variable, 0, f.coefficient(0), trunc)
-    else:
-        out = LaurentSeries.zero(m.variable, trunc)
-    power = LaurentSeries.one(m.variable, trunc)
-    for k in range(1, f.trunc_order + 1):
-        power = power * m
-        if power.trunc_order > trunc:
-            power = power.truncate(trunc)
-        c = f.coefficient(k)
-        if c:
-            out = out + power.scale(c)
-        if power.min_exp > trunc:
-            break
-    return out
+    if trunc < 0:
+        return LaurentSeries.zero(m.variable, trunc)
+    top = trunc // v
+    a, da = _numerators([f.coefficient(k) for k in range(top + 1)])
+    b, db = _numerators(m.coeffs[:trunc - v + 1])
+    acc = [a[top]] + [0] * (trunc - v * top)  # A_top on [0, trunc - v top]
+    scale = 1  # Dm^(top - k)
+    for k in range(top - 1, -1, -1):
+        scale *= db
+        n = len(acc)
+        rev = acc[::-1]
+        acc = [a[k] * scale] + [0] * (v - 1) + \
+            [sum(map(mul, b[:e + 1], rev[n - 1 - e:])) for e in range(n)]
+    den = da * scale
+    return LaurentSeries(m.variable, 0, [Fraction(x, den) for x in acc], trunc)
 
 
 def series_reversion(m: LaurentSeries) -> LaurentSeries:

@@ -56,6 +56,11 @@ __all__ = [
 ]
 
 
+# The longest chain of uncached predecessors one _cover_kernel call recurses
+# through.  It exceeds the paper's genus 53, where no call warms the chain.
+_CHAIN_STEP = 64
+
+
 @lru_cache(maxsize=None)
 def _cover_kernel(g_prime: int, lam_trunc: int) -> LaurentSeries:
     """K_{g'} = (2 sin(lam/2))^(2g'-2), known up to lam^lam_trunc."""
@@ -67,6 +72,10 @@ def _cover_kernel(g_prime: int, lam_trunc: int) -> LaurentSeries:
     # e_m = m! [lam^m] K_{g'}: e_m = 2k(2k-1) e'_{m-2} - k^2 e_{m-2}, with e'
     # those of K_{g'-1}, so each coefficient is one Fraction(e_m, m!)
     k = g_prime - 1
+    # Warmed from below every _CHAIN_STEP genera, the chain to K_{g'-1} never
+    # recurses deeper than _CHAIN_STEP, whatever g'.
+    for gp in range(_CHAIN_STEP, k, _CHAIN_STEP):
+        _cover_kernel(gp, lam_trunc)
     prev = _cover_kernel(k, lam_trunc)
     lo = min(2 * k, lam_trunc + 1)
     cs = [Fraction(0)] * (lam_trunc - lo + 1)

@@ -1,15 +1,16 @@
 """Ambiguity index bookkeeping and the two closed-form solves.
 
-The gap solve is a Lagrange-Buermann residue sum in the coefficients of
-u^{-i}, Y = Delta^{-1} u(Delta); the Castelnuovo solve is a binomial
-inversion of the low-degree data.  Both are checked against round trips
-through ``assemble_fg`` and a binomial expansion, up to the paper's g = 53.
+The gap solve is one composition in s = 1/Y; the Castelnuovo solve is a
+binomial inversion of the low-degree data.  Both are checked against round
+trips through ``assemble_fg`` and a binomial expansion, up to the paper's
+g = 53, and the gap solve against the Lagrange-Buermann loop it replaced.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -29,6 +30,8 @@ from curvecount.bernoulli import bernoulli
 from curvecount.series import (
     LaurentSeries,
     WindowError,
+    _numerators,
+    _unit_power,
     series_compose,
     series_invert,
     series_reversion,
@@ -272,6 +275,53 @@ def test_gap_solve_leaves_the_frame_unchanged():
         assert gap_solve(g, known, frame) == gap_solve(g, known, fresh)
     assert (frame.to_json_dict(), repr(frame)) == before
     assert frame == ConifoldFrame.from_json_dict(before[0])
+
+
+def reference_gap_solve(g: int, known_terms: LaurentSeries,
+                        frame: ConifoldFrame) -> dict[int, Fraction]:
+    """The Lagrange-Buermann loop gap_solve ran before s = 1/Y: with
+    Y = Delta^{-1} u(Delta),
+    x_i = (1/i) sum_{j=i}^{w} j r_j [Delta^{j-i}] u^{-i},
+    one Miller recurrence per u^{-i}."""
+    width = 2 * g - 2
+    y = frame.y_of_flat
+    jr = [-j * known_terms.coefficient(-j) for j in range(1, width + 1)]
+    jr[-1] += width * gap_target(g)
+    jr, den = _numerators(jr)  # jr[j - 1] / den = j r_j
+    x = {}
+    for i in range(1, width + 1):
+        c, dc = _numerators(_unit_power(y.coeffs, -i, width - i + 1))
+        x[i + g - 1] = Fraction(sum(map(mul, jr[i - 1:], c)), den * dc * i)
+    return x
+
+
+def test_gap_solve_matches_the_lagrange_buermann_loop():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    primes = [2, 3, 5, 7, 11, 13, 2 ** 31 - 1, 10 ** 9 + 7]
+    values = st.one_of(st.just(F(0)), st.builds(
+        F, st.integers(-10 ** 12, 10 ** 12), st.sampled_from(primes)))
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(st.integers(2, 8), st.integers(0, 4), st.data())
+    def check(g, extra, data):
+        width = 2 * g - 2
+        trunc = width + extra  # the gap needs Delta(delta) through delta^w
+        flat = [1] + data.draw(st.lists(values, min_size=trunc - 1,
+                                        max_size=trunc - 1))
+        frame = ConifoldFrame(LaurentSeries.one("q", 1),
+                              LaurentSeries("delta", 1, flat, trunc))
+        lo = data.draw(st.integers(-width, 1))
+        known = LaurentSeries("Delta", lo, data.draw(st.lists(
+            values, min_size=1 - lo, max_size=1 - lo)), 0)
+        assert gap_solve(g, known, frame) == \
+            reference_gap_solve(g, known, frame)
+        short = ConifoldFrame(frame.delta_of_q,
+                              frame.delta_to_flat.truncate(width - 1))
+        with pytest.raises(WindowError, match=rf"need trunc >= {width - 2}$"):
+            gap_solve(g, known, short)
+
+    check()
 
 
 def test_frame_shared_across_threads():

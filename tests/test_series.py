@@ -222,6 +222,14 @@ def test_compose_univariate_against_oracle():
         assert result.coefficient(e) == acc[e]
 
 
+def test_compose_of_f_known_on_no_exponent_is_zero_on_the_empty_window():
+    # trunc = min(v (T_f + 1) - 1, T_m) = -1 for f known only below x^0
+    m = LaurentSeries("q", 2, [3, 1], 3)
+    result = series_compose(LaurentSeries.zero("t", -1), m)
+    assert result == LaurentSeries.zero("q", -1)
+    assert (result.min_exp, result.trunc_order) == (0, -1)
+
+
 def test_invert_gains_window_on_negative_valuation():
     # f = q^-2 (1 + q) known through q^3: the unit part carries 5 known
     # coefficients, so 1/f is known through q^7.

@@ -1,7 +1,7 @@
 """Property tests: powers against products, the window law for f*g,
 reversion against composition, log against exp, and the integer kernels
-(the product, Miller's power recurrence, the genus-matrix dot) against the
-Fraction loops they replaced.
+(the product, Miller's power recurrence, composition, the genus-matrix dot)
+against the Fraction loops they replaced.
 
 Run with hypothesis when it is installed; the reversion and inverse oracles
 also need sympy.  Both are test-only dependencies.
@@ -251,6 +251,52 @@ def test_unit_power_matches_the_fraction_recurrence(u, alpha, data):
     count = data.draw(st.integers(1, len(u)))
     assert _unit_power(u, alpha, count) == \
         reference_unit_power(u, alpha, count)
+
+
+def reference_compose(f: LaurentSeries, m: LaurentSeries) -> LaurentSeries:
+    """The Fraction loop series_compose ran before the Horner pass: each
+    power of m by one more product, scaled by f_k and added."""
+    v = m.min_exp
+    trunc = min(v * (f.trunc_order + 1) - 1, m.trunc_order)
+    if f.trunc_order >= 0:
+        out = LaurentSeries.monomial(m.variable, 0, f.coefficient(0), trunc)
+    else:
+        out = LaurentSeries.zero(m.variable, trunc)
+    power = LaurentSeries.one(m.variable, trunc)
+    for k in range(1, f.trunc_order + 1):
+        power = power * m
+        if power.trunc_order > trunc:
+            power = power.truncate(trunc)
+        c = f.coefficient(k)
+        if c:
+            out = out + power.scale(c)
+        if power.min_exp > trunc:
+            break
+    return out
+
+
+@st.composite
+def compose_args(draw):
+    """(f, m): m of valuation v in 1..3 on [v, T_m]; f on [a, T_f], a in
+    0..3 (a > 0: leading zeros), often longer than trunc // v."""
+    v = draw(st.integers(1, 3))
+    tm = draw(st.integers(v, 14))
+    m = LaurentSeries("x", v, [draw(big_leading)] + draw(
+        st.lists(mixed_values, min_size=tm - v, max_size=tm - v)), tm)
+    a = draw(st.integers(0, 3))
+    tf = draw(st.integers(max(a - 1, 0), 16))
+    f = LaurentSeries("t", a, draw(st.lists(
+        mixed_values, min_size=tf - a + 1, max_size=tf - a + 1)), tf)
+    return f, m
+
+
+@settings
+@hypothesis.given(compose_args())
+def test_compose_matches_the_fraction_loop(args):
+    f, m = args
+    fm = series_compose(f, m)
+    assert fm == reference_compose(f, m)  # window included
+    assert all(type(c) is Fraction for c in fm.coeffs)
 
 
 def fraction_rows(g_out: int) -> list[list[Fraction]]:

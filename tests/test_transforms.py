@@ -138,6 +138,15 @@ def test_cover_kernel_is_the_power_of_k2_at_the_paper_genus():
         LaurentSeries.one("lambda", lam_trunc - 2)
 
 
+def test_cover_kernel_builds_a_deep_genus_on_a_cold_cache():
+    # a chain of 1200 uncached predecessors must not exhaust the stack
+    _cover_kernel.cache_clear()
+    assert _cover_kernel(1200, 4) == LaurentSeries.zero("lambda", 4)
+    _cover_kernel.cache_clear()
+    k2 = _cover_kernel(2, 300)
+    assert _cover_kernel(150, 300) == (k2 ** 149).truncate(300)
+
+
 def reference_gv_to_gw(gv: GvTable, g_out: int, d_out: int) -> dict:
     """The cover sum cell by cell, one direct kernel per (r, g')."""
     lam_trunc = 2 * g_out - 2
