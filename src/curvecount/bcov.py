@@ -13,14 +13,19 @@ principal part R(Delta) = sum_{j=1}^{w} r_j Delta^{-j} = P(Delta) Delta^{-w}
 that the gap prescribes, a_{i+g-1} = [s^{-i}] R(Delta(s)).  The middle
 match is the binomial inversion
 a_{g-1-k} = sum_{j=k}^{K} (-1)^{j-k} C(j,k) t_j / (-5^5)^j of the data t_j.
-The frames delta(q), Delta(delta) and the low-degree data are external
-inputs; only the solves live here.
+The gap solve reads Delta(delta) through delta^{2g-2} and nothing else of
+the frame: a frame derives Y(Delta) only when ``y_of_flat`` is first read
+(by ``to_json_dict`` or a caller of ``assemble_fg``), and checks a stated Y
+against Delta(delta) without deriving it.  The frames delta(q),
+Delta(delta) and the low-degree data are external inputs; only the solves
+live here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .bernoulli import bernoulli
@@ -135,29 +140,33 @@ class ConifoldFrame:
     """Coordinate data near the conifold point.
 
     delta_of_q and Delta_of_delta (with Delta = delta + O(delta^2)) are
-    supplied.  Y as a series in Delta is derived from Y^{-1} = delta/(1+delta),
-    that is Y = 1 + 1/delta(Delta) with delta(Delta) the compositional
-    inverse of Delta(delta); it satisfies Y = Delta^{-1}(1 + O(Delta)).
+    supplied; construction checks only that normalization.  Y as a series in
+    Delta is derived on first read of ``y_of_flat`` and then kept (two
+    threads that read it first at the same time may both derive it, equal
+    values either way) from
+    Y^{-1} = delta/(1+delta), that is Y = 1 + 1/delta(Delta) with
+    delta(Delta) the compositional inverse of Delta(delta); it satisfies
+    Y = Delta^{-1}(1 + O(Delta)) on [-1, T-2] for Delta(delta) on [1, T].
     The gap solve needs no inverse: in s = 1/Y = delta/(1+delta),
-    Delta(s) = Delta(s/(1-s)) is a binomial transform of Delta(delta).
+    Delta(s) = Delta(s/(1-s)) is a binomial transform of Delta(delta), so it
+    reads Delta(delta) through delta^{2g-2} and never Y.
     """
 
     delta_of_q: LaurentSeries
     delta_to_flat: LaurentSeries  # Delta as a series in delta
-    y_of_flat: LaurentSeries      # derived: Y as a Laurent series in Delta
 
-    def __init__(self, delta_of_q: LaurentSeries, delta_to_flat: LaurentSeries):
-        if delta_to_flat.is_zero or delta_to_flat.min_exp != 1 \
-                or delta_to_flat.coefficient(1) != 1:
+    def __post_init__(self):
+        flat = self.delta_to_flat
+        if flat.is_zero or flat.min_exp != 1 or flat.coefficient(1) != 1:
             raise ValueError("flat coordinate must satisfy Delta = delta + O(delta^2)")
-        inv = series_invert(series_reversion(delta_to_flat))
-        y = LaurentSeries("Delta", inv.min_exp, inv.coeffs, inv.trunc_order) \
-            + LaurentSeries.from_dict("Delta", {0: 1}, inv.trunc_order)
-        if y.min_exp != -1 or y.coefficient(-1) != 1:
-            raise ValueError("derived Y must be Delta^{-1}(1 + O(Delta))")
-        object.__setattr__(self, "delta_of_q", delta_of_q)
-        object.__setattr__(self, "delta_to_flat", delta_to_flat)
-        object.__setattr__(self, "y_of_flat", y)
+
+    @cached_property
+    def y_of_flat(self) -> LaurentSeries:
+        """Y as a Laurent series in Delta, derived on first read."""
+        inv = series_invert(series_reversion(self.delta_to_flat))
+        T = inv.trunc_order
+        return LaurentSeries("Delta", inv.min_exp, inv.coeffs, T) \
+            + LaurentSeries.from_dict("Delta", {0: 1}, T)
 
     @classmethod
     def toy(cls, trunc: int = 24) -> ConifoldFrame:
@@ -181,11 +190,33 @@ class ConifoldFrame:
                     LaurentSeries.from_json_dict(flat))
         if "Y_of_Delta" in d:
             stated = LaurentSeries.from_json_dict(d["Y_of_Delta"])
-            derived = frame.y_of_flat.truncate(
-                min(stated.trunc_order, frame.y_of_flat.trunc_order))
-            if stated.truncate(derived.trunc_order) != derived:
-                raise ValueError("stated Y_of_Delta disagrees with the frame")
+            frame._check_stated_y(stated)
         return frame
+
+    def _check_stated_y(self, stated: LaurentSeries) -> None:
+        """Raise ValueError unless stated, a series in Delta, agrees with Y
+        through Delta^m, m = min(stated trunc, T-2) for Delta(delta) known
+        through delta^T, without deriving Y.
+
+        Written as Y = Delta^{-1} U(Delta), Y = (1+delta)/delta says
+        U(Delta(delta)) = (1+delta) Delta(delta)/delta.  Delta = delta +
+        O(delta^2) makes U -> U(Delta(delta)) unitriangular, so the
+        coefficients of U through Delta^{m+1} (those of Y through Delta^m)
+        are Y's exactly when the identity holds through delta^{m+1}.  Below
+        Delta^{-1}, Y and so stated vanish.
+        """
+        c = self.delta_to_flat.coefficient
+        m = min(stated.trunc_order, self.delta_to_flat.trunc_order - 2)
+        ok = stated.variable == "Delta" \
+            and (stated.is_zero or stated.min_exp >= -1)
+        if ok and m >= -1:
+            u = LaurentSeries("Delta", 0, [stated.coefficient(k - 1)
+                                           for k in range(m + 2)])
+            lhs = series_compose(u, self.delta_to_flat)  # on [0, m+1]
+            ok = all(lhs.coefficient(k) == c(k + 1) + c(k)
+                     for k in range(m + 2))
+        if not ok:
+            raise ValueError("stated Y_of_Delta disagrees with the frame")
 
 
 def gap_target(g: int) -> Fraction:
@@ -205,20 +236,21 @@ def gap_solve(g: int, known_terms: LaurentSeries,
     [s^n] Delta(s) = sum_{k=1}^{n} C(n-1, k-1) c_k for the supplied
     Delta(delta) = sum c_k delta^k and P(z) = sum_{j=1}^{w} r_j z^{w-j} over
     the principal coefficients r_j = [Delta^{-j}] R: one composition, one
-    power and one product.  Delta(s) is needed on [1, w], the frame's
-    Delta(delta) window, equivalently Y's window through Delta^{w-2}.  A pole
-    of known_terms deeper than Delta^{-w} raises ValueError: no polynomial in
-    Y of degree w cancels it.
+    power and one product.  Delta(s) is needed on [1, w], so the frame must
+    know Delta(delta) through delta^w (equivalently Y through Delta^{w-2});
+    Y itself is never derived and the known terms are a series in Delta.  A
+    pole of known_terms deeper than Delta^{-w} raises ValueError: no
+    polynomial in Y of degree w cancels it.
     """
     _check_genus(g)
     width = 2 * g - 2
     if known_terms.trunc_order < -1:
         raise WindowError("known terms must be known through Delta^{-1}")
-    y = frame.y_of_flat
-    if y.trunc_order < width - 2:
+    if frame.delta_to_flat.trunc_order < width:
         raise WindowError(
-            f"frame Y window too small: need trunc >= {width - 2}")
-    if known_terms.variable != y.variable:
+            f"frame window too small: need Delta(delta) trunc >= {width} "
+            f"(Y trunc >= {width - 2})")
+    if known_terms.variable != "Delta":
         raise ValueError("known terms must be a series in the flat coordinate")
     if known_terms.min_exp < -width:
         raise ValueError(

@@ -68,16 +68,18 @@ def _cover_kernel(g_prime: int, lam_trunc: int) -> LaurentSeries:
         return LaurentSeries.one("lambda", lam_trunc)
     if g_prime == 0:
         return _cover_kernel(2, lam_trunc + 4).invert()
+    k = g_prime - 1
+    if 2 * k > lam_trunc:  # K_{g'} = O(lam^(2k)): nothing on the window
+        return LaurentSeries.zero("lambda", lam_trunc)
     # Times m!, the recurrence of the module docstring runs on the integers
     # e_m = m! [lam^m] K_{g'}: e_m = 2k(2k-1) e'_{m-2} - k^2 e_{m-2}, with e'
     # those of K_{g'-1}, so each coefficient is one Fraction(e_m, m!)
-    k = g_prime - 1
     # Warmed from below every _CHAIN_STEP genera, the chain to K_{g'-1} never
     # recurses deeper than _CHAIN_STEP, whatever g'.
     for gp in range(_CHAIN_STEP, k, _CHAIN_STEP):
         _cover_kernel(gp, lam_trunc)
     prev = _cover_kernel(k, lam_trunc)
-    lo = min(2 * k, lam_trunc + 1)
+    lo = 2 * k
     cs = [Fraction(0)] * (lam_trunc - lo + 1)
     e, fact = 0, factorial(2 * k - 2)  # fact = (m-2)!
     for m in range(2 * k, lam_trunc + 1, 2):

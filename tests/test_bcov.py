@@ -318,8 +318,135 @@ def test_gap_solve_matches_the_lagrange_buermann_loop():
             reference_gap_solve(g, known, frame)
         short = ConifoldFrame(frame.delta_of_q,
                               frame.delta_to_flat.truncate(width - 1))
-        with pytest.raises(WindowError, match=rf"need trunc >= {width - 2}$"):
+        with pytest.raises(WindowError,
+                           match=rf"need Delta\(delta\) trunc >= {width} "):
             gap_solve(g, known, short)
+
+    check()
+
+
+def _frame_dict_without_y(seed: int, trunc: int) -> dict:
+    d = _dense_frame(seed, trunc).to_json_dict()
+    del d["Y_of_Delta"]
+    return d
+
+
+def test_load_and_gap_solve_never_revert(monkeypatch):
+    import curvecount.bcov
+    import curvecount.series
+
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return series_reversion(m)
+
+    plain = _frame_dict_without_y(11, 48)
+    stated = ConifoldFrame.from_json_dict(plain).to_json_dict()
+    rng = random.Random(25)
+    known = {g: LaurentSeries("Delta", -(2 * g - 2), [
+        F(rng.randint(-60, 60), rng.randint(1, 9))
+        for _ in range(2 * g - 1)], 0) for g in (23, 24, 25)}
+    monkeypatch.setattr(curvecount.bcov, "series_reversion", counting)
+    monkeypatch.setattr(curvecount.series, "series_reversion", counting)
+    for d in (plain, stated):
+        frame = ConifoldFrame.from_json_dict(d)
+        for g, terms in known.items():
+            gap_solve(g, terms, frame)
+        assert "y_of_flat" not in vars(frame)
+    assert calls == []
+    y = frame.y_of_flat  # derived once, then kept
+    assert frame.y_of_flat is y and len(calls) == 1
+
+
+def test_reading_y_changes_no_frame_value():
+    d = _frame_dict_without_y(5, 20)
+    frame = ConifoldFrame.from_json_dict(d)
+    twin = ConifoldFrame.from_json_dict(d)
+    before = repr(frame)
+    assert "y_of_flat" not in before
+    frame.y_of_flat
+    assert repr(frame) == before == repr(twin)
+    assert frame == twin and twin == frame and hash(frame) == hash(twin)
+    assert "y_of_flat" not in vars(twin)
+    assert frame.to_json_dict() == twin.to_json_dict() \
+        == ConifoldFrame.from_json_dict(frame.to_json_dict()).to_json_dict()
+
+
+def reference_y(frame: ConifoldFrame) -> LaurentSeries:
+    """Y = 1/delta(Delta) + 1 by reversion and inversion, on [-1, T-2]."""
+    inv = series_invert(series_reversion(frame.delta_to_flat))
+    return LaurentSeries("Delta", inv.min_exp, inv.coeffs, inv.trunc_order) \
+        + LaurentSeries.from_dict("Delta", {0: 1}, inv.trunc_order)
+
+
+def reference_stated_y_ok(frame: ConifoldFrame, stated: LaurentSeries) -> bool:
+    """The check from_json_dict made by deriving Y: equality with the
+    derived Y on the common window."""
+    y = reference_y(frame)
+    derived = y.truncate(min(stated.trunc_order, y.trunc_order))
+    return stated.truncate(derived.trunc_order) == derived
+
+
+def _accepts(frame: ConifoldFrame, stated: LaurentSeries) -> bool:
+    d = {"delta_of_q": frame.delta_of_q.to_json_dict(),
+         "Delta_of_delta": frame.delta_to_flat.to_json_dict(),
+         "Y_of_Delta": stated.to_json_dict()}
+    try:
+        ConifoldFrame.from_json_dict(d)
+    except ValueError as exc:
+        assert str(exc) == "stated Y_of_Delta disagrees with the frame"
+        return False
+    return True
+
+
+def test_stated_y_cases():
+    frame = _dense_frame(5, 14)
+    y = frame.y_of_flat  # on [-1, 12]
+    extended = LaurentSeries("Delta", -1, list(y.coeffs) + [F(9), F(-2)], 14)
+    wrong = list(y.coeffs)
+    wrong[7] += F(1, 3)
+    cases = {
+        "exact": (y, True),
+        "shorter": (y.truncate(4), True),
+        "only the pole": (y.truncate(-1), True),
+        "empty window below the pole": (LaurentSeries.zero("Delta", -3), True),
+        "longer": (extended, True),
+        "wrong coefficient": (LaurentSeries("Delta", -1, wrong, 12), False),
+        "pole below Delta^-1": (LaurentSeries("Delta", -2, [F(1, 7)], -2)
+                                + extended, False),
+        "no pole": (LaurentSeries("Delta", 0, y.coeffs[1:], 12), False),
+        "zero": (LaurentSeries.zero("Delta", 12), False),
+        "wrong variable": (LaurentSeries("delta", -1, y.coeffs, 12), False),
+    }
+    for name, (stated, ok) in cases.items():
+        assert reference_stated_y_ok(frame, stated) == ok, name
+        assert _accepts(frame, stated) == ok, name
+
+
+def test_stated_y_check_matches_the_derived_y_check():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    values = st.one_of(st.just(F(0)), st.builds(
+        F, st.integers(-9, 9), st.integers(1, 6)))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.integers(1, 9), st.data())
+    def check(T, data):
+        flat = [1] + data.draw(st.lists(values, min_size=T - 1, max_size=T - 1))
+        frame = ConifoldFrame(LaurentSeries.one("q", 1),
+                              LaurentSeries("delta", 1, flat, T))
+        y = reference_y(frame)  # Y's coefficients, then arbitrary values
+        trunc = data.draw(st.integers(-4, T + 2))
+        lo = data.draw(st.integers(min(-3, trunc + 1), trunc + 1))
+        cs = [y.coefficient(e) if e <= y.trunc_order else data.draw(values)
+              for e in range(lo, trunc + 1)]
+        if cs and data.draw(st.booleans()):
+            k = data.draw(st.integers(0, len(cs) - 1))
+            cs[k] += data.draw(st.sampled_from([F(1), F(-1, 2), F(3, 7)]))
+        var = data.draw(st.sampled_from(["Delta", "Delta", "Delta", "delta"]))
+        stated = LaurentSeries(var, lo, cs, trunc)
+        assert _accepts(frame, stated) == reference_stated_y_ok(frame, stated)
 
     check()
 

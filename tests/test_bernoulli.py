@@ -27,6 +27,14 @@ def test_defining_recurrence_up_to_30():
         assert sum(comb(m + 1, j) * bernoulli(j) for j in range(m + 1)) == 0
 
 
+def test_matches_the_fraction_recurrence_up_to_200():
+    # the defining recurrence term by term in Fraction arithmetic, odd j too
+    want = [F(1)]
+    for m in range(1, 201):
+        want.append(-sum(comb(m + 1, j) * want[j] for j in range(m)) / (m + 1))
+    assert [bernoulli(k) for k in range(201)] == want
+
+
 def test_generating_function_matches_sympy():
     """x/(e^x - 1) = sum B_k x^k/k!, inverted by sympy: the B_1 = -1/2 convention."""
     sympy = pytest.importorskip("sympy")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -139,12 +140,32 @@ def test_cover_kernel_is_the_power_of_k2_at_the_paper_genus():
 
 
 def test_cover_kernel_builds_a_deep_genus_on_a_cold_cache():
-    # a chain of 1200 uncached predecessors must not exhaust the stack
+    # K_200 up to lam^398 needs all its 198 predecessors on non-empty
+    # windows; the warmed chain recurses through at most _CHAIN_STEP = 64 of
+    # them, so 150 frames above the caller's are enough (198 are not)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
     _cover_kernel.cache_clear()
-    assert _cover_kernel(1200, 4) == LaurentSeries.zero("lambda", 4)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        kernel = _cover_kernel(200, 398)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert kernel == LaurentSeries.monomial("lambda", 398, 1, 398)
     _cover_kernel.cache_clear()
     k2 = _cover_kernel(2, 300)
     assert _cover_kernel(150, 300) == (k2 ** 149).truncate(300)
+
+
+def test_cover_kernel_returns_early_on_an_empty_window():
+    # 2(g'-1) > lam_trunc: K_{g'} = O(lam^(2g'-2)) has no coefficient on the
+    # window, so no predecessor is built
+    before = _cover_kernel.cache_info().currsize
+    assert _cover_kernel(5000, 4) == LaurentSeries("lambda", 5, [], 4)
+    assert _cover_kernel(4, 5) == LaurentSeries.zero("lambda", 5)
+    assert _cover_kernel.cache_info().currsize - before <= 2
 
 
 def reference_gv_to_gw(gv: GvTable, g_out: int, d_out: int) -> dict:
