@@ -11,12 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 __all__ = [
     "ThreefoldProfile",
     "BoundReport",
     "bps_threshold",
+    "bps_threshold_floor",
     "genus_bound_general",
     "genus_bound_hypersurface",
     "genus_bound_nonhyperplane",
@@ -80,6 +82,13 @@ def bps_threshold(d: int) -> Fraction:
     if d < 1:
         raise ValueError("d must be >= 1")
     return Fraction(d * d + 5 * d + 10, 10)
+
+
+@lru_cache(maxsize=1024)
+def bps_threshold_floor(d: int) -> int:
+    """floor(B(d)): for an integer g, g > B(d) iff g > floor(B(d)), and
+    n < 1 - B(d) iff n < 1 - floor(B(d)), so the vanishing laws compare ints."""
+    return math.floor(bps_threshold(d))
 
 
 def _genus_bound(n: int, i: int, m: int, d: int) -> Fraction:

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import bps_threshold
+from .bounds import bps_threshold_floor
 from .series import (_coerce, _is_int, _json_fields, format_rational,
                      parse_rational)
 
@@ -95,7 +95,7 @@ class GvTable(_GenusTable):
 
     @staticmethod
     def forbids(g: int, d: int) -> bool:
-        return g > bps_threshold(d)
+        return g > bps_threshold_floor(d)
 
 
 class GwTable(_GenusTable):
@@ -122,7 +122,7 @@ class PtTable(_Table):
 
     @staticmethod
     def forbids(n: int, d: int) -> bool:
-        return n < 1 - bps_threshold(d)
+        return n < 1 - bps_threshold_floor(d)
 
     def _in_window(self, n: int, d: int) -> bool:
         return 1 <= d <= self.d_max and self.q_window[0] <= n <= self.q_window[1]

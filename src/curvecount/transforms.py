@@ -19,9 +19,8 @@ K_{g'}'' = 2k(2k-1) K_{g'-1} - k^2 K_{g'}, so for g' >= 2
                      / (m(m-1)),    m = 2k, 2k+2, ...,
 
 one pass of O(T) per genus up to lam^T, and K_0 = K_2^(-1).  Each row of M is
-stored as integer numerators over the row's lcm denominator, and each vector
-it meets is converted once to numerators over one denominator, so a row
-times a vector is one integer dot product and one Fraction.
+integer numerators over its lcm denominator; from a row to an output cell each
+value is an integer pair (numerator, denominator), one Fraction per cell.
 
 The stable-pair side expands the same table in u := -q:
 
@@ -36,8 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 from operator import mul
+from typing import Iterator
 
 from .series import BivariateSeries, LaurentSeries, WindowError, _numerators
 from .tables import GvTable, GwTable, PtTable, TruncationError
@@ -99,20 +99,23 @@ def _basis(g_out: int) -> list[tuple[list[int], int]]:
             for g in range(g_out + 1)]
 
 
-def _dot(row: tuple[list[int], int], ns: list[int], nden: int) -> Fraction:
-    """sum row[i] ns[i] / nden over the shorter of the two, for a row of
-    _basis and a vector as (numerators, den)."""
-    cs, den = row
-    return Fraction(sum(map(mul, cs, ns)), den * nden)
+def _dot(row: tuple[list[int], int], ns: list[int]) -> int:
+    """Numerator over den * nden of a _basis row (cs, den) times (ns, nden)."""
+    return sum(map(mul, row[0], ns))
 
 
-def _covers(v: dict, g: int, d: int, r_min: int) -> Fraction:
-    """sum_{r | d, r >= r_min} r^(2g-3) v[d/r][g]
-    = sum r^(2g) (d/r)^3 v[d/r][g] / d^3, on integer weights."""
+def _covers(v: dict, g_out: int, d: int, r_min: int) -> Iterator[tuple]:
+    """Yields, for g = 0..g_out, sum_{r | d, r >= r_min} r^(2g-3) v[d/r][g]
+    = sum r^(2g) (d/r)^3 v[d/r][g] / d^3 on integer weights, each v[d'][g]
+    and each sum an integer pair (numerator, denominator)."""
     rs = [r for r in range(r_min, d + 1) if d % r == 0]
-    ns, den = _numerators([v[d // r][g] for r in rs])
-    return Fraction(sum(r ** (2 * g) * (d // r) ** 3 * x
-                        for r, x in zip(rs, ns)), den * d ** 3)
+    ws = [(d // r) ** 3 for r in rs]  # r^(2g) (d/r)^3, stepped by r^2 per g
+    for g in range(g_out + 1):
+        cells = [v[d // r][g] for r in rs]
+        den = lcm(*{q for _, q in cells})
+        yield (sum([w * x if q == den else w * x * (den // q)
+                    for w, (x, q) in zip(ws, cells)]), den * d ** 3)
+        ws = [w * r * r for w, r in zip(ws, rs)]
 
 
 def _require_window(table, g_out: int, d_out: int) -> None:
@@ -127,38 +130,35 @@ def gv_to_gw(gv: GvTable, g_out: int, d_out: int) -> GwTable:
     N_{g,d} = sum_{r | d} r^(2g-3) v_{d/r}[g]."""
     _require_window(gv, g_out, d_out)
     m = _basis(g_out)
-    v = {}
-    for dp in range(1, d_out + 1):
-        ns, nden = _numerators([gv.entries.get((gp, dp), 0)
+    v, out = {}, {}
+    for d in range(1, d_out + 1):
+        ns, nden = _numerators([gv.entries.get((gp, d), 0)
                                 for gp in range(g_out + 1)])
-        v[dp] = [_dot(row, ns, nden) for row in m]
-    out = {(g, d): _covers(v, g, d, 1)
-           for d in range(1, d_out + 1) for g in range(g_out + 1)}
+        v[d] = [(_dot(row, ns), row[1] * nden) for row in m]
+        out.update(((g, d), Fraction(*c))
+                   for g, c in enumerate(_covers(v, g_out, d, 1)))
     return GwTable(out, g_out, d_out)
 
 
 def gw_to_gv(gw: GwTable, g_out: int, d_out: int) -> GvTable:
-    """Inverse of gv_to_gw, degrees ascending: v_d = N_{., d} minus the
-    r >= 2 covers of lower degrees, then M n_{., d} = v_d (M[g][g] = 1).
-
-    The forward substitution keeps n_{g' < g} as integer numerators over one
-    denominator, grown to the lcm only when a new n_g needs it."""
+    """Inverse of gv_to_gw, degrees ascending: v_d = N_{., d} minus the r >= 2
+    covers of lower degrees, then M n_{., d} = v_d (M[g][g] = 1) by forward
+    substitution on integer numerators over one denominator, grown to lcms."""
     _require_window(gw, g_out, d_out)
     m = _basis(g_out)
-    v = {}
-    out: dict[tuple[int, int], Fraction] = {}
+    v, out = {}, {}
     for d in range(1, d_out + 1):
-        v[d] = [gw.value(g, d) - _covers(v, g, d, 2) for g in range(g_out + 1)]
-        nums: list[int] = []  # n_{g' < g} = nums[g'] / nden
-        nden = 1
-        for g, row in enumerate(m):  # the diagonal drops out: nums stops at g
-            x = out[(g, d)] = v[d][g] - _dot(row, nums, nden)
-            q = x.denominator
-            if nden % q:  # nden becomes lcm(nden, q)
+        nums, nden, v[d] = [], 1, []  # n_{g' < g} = nums[g'] / nden
+        for g, (row, (c, cden)) in enumerate(zip(m, _covers(v, g_out, d, 2))):
+            a, b = gw.value(g, d).as_integer_ratio()
+            t, tden = _dot(row, nums), row[1] * nden  # the diagonal drops out
+            x = out[(g, d)] = Fraction(  # a/b - c/cden - t/tden
+                (a * cden - b * c) * tden - b * cden * t, b * cden * tden)
+            if nden % (q := x.denominator):  # nden becomes lcm(nden, q)
                 grow = q // gcd(nden, q)
-                nums = [y * grow for y in nums]
-                nden *= grow
+                nums, nden, t = [y * grow for y in nums], nden * grow, t * grow
             nums.append(x.numerator * (nden // q))
+            v[d].append((t + row[0][g] * nums[g], row[1] * nden))  # M n = v_d
     return GvTable(out, g_out, d_out)
 
 

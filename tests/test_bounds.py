@@ -10,6 +10,7 @@ from curvecount.bounds import (
     ThreefoldProfile,
     bound_function_properties,
     bps_threshold,
+    bps_threshold_floor,
     castelnuovo_corollary_check,
     extremal_gv,
     extremal_moduli_euler,
@@ -19,6 +20,7 @@ from curvecount.bounds import (
     genus_bound_nonhyperplane,
     max_vanishing_degree,
 )
+from curvecount.tables import GvTable, PtTable
 
 F = Fraction
 
@@ -30,6 +32,21 @@ def test_bps_threshold_values():
     assert bps_threshold(19) == F(233, 5)
     with pytest.raises(ValueError):
         bps_threshold(0)
+
+
+def test_threshold_floor_decides_both_vanishing_laws():
+    """For integer g and n, g > B(d) iff g > floor(B(d)) and n < 1 - B(d) iff
+    n < 1 - floor(B(d)); checked for each d <= 500 on every integer within
+    12 of either edge and on -60..60, which holds the paper's windows."""
+    for d in range(1, 501):
+        b, top = bps_threshold(d), bps_threshold_floor(d)
+        assert type(top) is int and top <= b < top + 1
+        for a in {*range(-60, 61), *range(top - 12, top + 13),
+                  *range(-top - 11, -top + 14)}:
+            assert (a > top) == (a > b) == GvTable.forbids(a, d)
+            assert (a < 1 - top) == (a < 1 - b) == PtTable.forbids(a, d)
+    with pytest.raises(ValueError):
+        bps_threshold_floor(0)
 
 
 def test_general_bound():

@@ -1,7 +1,8 @@
 """Property tests: powers against products, the window law for f*g,
 reversion against composition, log against exp, and the integer kernels
 (the product, Miller's power recurrence, composition, the genus-matrix dot)
-against the Fraction loops they replaced.
+against the Fraction loops they replaced, and parse_rational against
+Fraction(str).
 
 Run with hypothesis when it is installed; the reversion and inverse oracles
 also need sympy.  Both are test-only dependencies.
@@ -27,6 +28,7 @@ from curvecount.series import (  # noqa: E402
     LaurentSeries,
     _numerators,
     _unit_power,
+    parse_rational,
     series_compose,
     series_exp,
     series_log,
@@ -316,7 +318,27 @@ def test_basis_rows_are_numerators_over_the_row_lcm():
     st.one_of(mixed_values, st.integers(-10 ** 6, 10 ** 6)), max_size=14))
 def test_dot_matches_the_fraction_sum(g, xs):
     row = fraction_rows(12)[g]
-    dot = _dot(_basis(12)[g], *_numerators(xs))
-    assert type(dot) is Fraction
-    assert dot == sum((c * x for c, x in zip(row, xs)), Fraction(0))
+    (cs, den), (ns, nden) = _basis(12)[g], _numerators(xs)
+    dot = _dot((cs, den), ns)
+    assert type(dot) is int
+    assert Fraction(dot, den * nden) == sum((c * x for c, x in zip(row, xs)),
+                                            Fraction(0))
 
+
+def outcome(parse, s):
+    """The value parse(s), or the type and text of the exception it raised."""
+    try:
+        value = parse(s)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+        return type(exc), str(exc)
+    assert type(value) is Fraction
+    return value
+
+
+@settings
+@hypothesis.given(st.one_of(
+    st.text("0123456789+-/._e \u0663", max_size=12),
+    st.from_regex(r"\A-?[0-9]+(/[0-9]+)?\Z"),
+    st.integers(), st.floats(), st.none()))  # JSON values reach it too
+def test_parse_rational_is_fraction_of_the_string(s):
+    assert outcome(parse_rational, s) == outcome(Fraction, s)

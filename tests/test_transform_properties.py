@@ -1,6 +1,7 @@
 """Property tests: the GV<->GW and PT log/exp round trips are exact,
 PT->DT by the degree-0 series 1 returns its input, and the integer divisor
-sum of the GV<->GW dictionary equals its Fraction form.
+sum of the GV<->GW dictionary and both GV<->GW transforms on integer pairs
+equal their Fraction forms.
 
 Each round trip runs one shared helper through both of its callers: the
 cover sum through gv_to_gw and gw_to_gv, the log/exp recurrences through
@@ -19,8 +20,9 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from curvecount.bounds import bps_threshold  # noqa: E402
 from curvecount.series import BivariateSeries, LaurentSeries  # noqa: E402
-from curvecount.tables import GvTable, PtTable  # noqa: E402
+from curvecount.tables import GvTable, GwTable, PtTable  # noqa: E402
 from curvecount.transforms import (  # noqa: E402
+    _cover_kernel,
     _covers,
     gv_to_gw,
     gw_to_gv,
@@ -85,17 +87,93 @@ def reference_covers(v: dict, g: int, d: int, r_min: int) -> Fraction:
 
 @settings
 @hypothesis.given(st.integers(0, 4).flatmap(lambda g_max: st.lists(
-    st.lists(st.fractions(max_denominator=30),
+    st.lists(st.tuples(st.fractions(max_denominator=30), st.integers(1, 4)),
              min_size=g_max + 1, max_size=g_max + 1),
     min_size=12, max_size=12)))
 def test_covers_matches_the_fraction_sum(rows):
-    v = dict(enumerate(rows, start=1))  # v[d'][g] for d' <= 12
-    for g in range(len(rows[0])):  # g = 0, 1: the exponent 2g - 3 is < 0
-        for d in range(1, 13):
-            for r_min in (1, 2):
-                got = _covers(v, g, d, r_min)
-                assert type(got) is Fraction
-                assert got == reference_covers(v, g, d, r_min)
+    """_covers on pairs (k p, k q), unreduced as in the transforms, for each
+    v[d'][g] = p/q."""
+    v = {d: [x for x, _ in row] for d, row in enumerate(rows, start=1)}
+    pairs = {d: [(x.numerator * k, x.denominator * k) for x, k in row]
+             for d, row in enumerate(rows, start=1)}
+    g_max = len(rows[0]) - 1
+    for d in range(1, 13):
+        for r_min in (1, 2):
+            got = list(_covers(pairs, g_max, d, r_min))
+            assert len(got) == g_max + 1
+            for g, (num, den) in enumerate(got):  # g = 0, 1: 2g - 3 < 0
+                assert type(num) is int and type(den) is int and den > 0
+                assert Fraction(num, den) == reference_covers(v, g, d, r_min)
+
+
+def fraction_rows(g_out: int) -> list[list[Fraction]]:
+    """M[g][g'] for g' <= g <= g_out as Fractions."""
+    kernels = [_cover_kernel(gp, 2 * g_out - 2) for gp in range(g_out + 1)]
+    return [[k.coefficient(2 * g - 2) for k in kernels[:g + 1]]
+            for g in range(g_out + 1)]
+
+
+def reference_gv_to_gw(gv: GvTable, g_out: int, d_out: int) -> GwTable:
+    """gv_to_gw as a loop on Fractions: v_{d'} = M n_{., d'}, then the
+    divisor sum."""
+    m = fraction_rows(g_out)
+    v = {dp: [sum((c * gv.value(gp, dp) for gp, c in enumerate(row)),
+                  Fraction(0)) for row in m] for dp in range(1, d_out + 1)}
+    return GwTable({(g, d): reference_covers(v, g, d, 1)
+                    for d in range(1, d_out + 1) for g in range(g_out + 1)},
+                   g_out, d_out)
+
+
+def reference_gw_to_gv(gw: GwTable, g_out: int, d_out: int) -> GvTable:
+    """gw_to_gv as a loop on Fractions: v_d = N_{., d} minus the r >= 2
+    covers, then forward substitution in M n_{., d} = v_d."""
+    m = fraction_rows(g_out)
+    v, out = {}, {}
+    for d in range(1, d_out + 1):
+        v[d] = [gw.value(g, d) - reference_covers(v, g, d, 2)
+                for g in range(g_out + 1)]
+        for g, row in enumerate(m):
+            out[(g, d)] = v[d][g] - sum(
+                (c * out[(gp, d)] for gp, c in enumerate(row[:g])), Fraction(0))
+    return GvTable(out, g_out, d_out)
+
+
+@st.composite
+def windows(draw, g_top: int = 8, d_top: int = 12) -> tuple:
+    """A table window g <= g_max, d <= d_max and an output window inside."""
+    g_max, d_max = draw(st.integers(0, g_top)), draw(st.integers(1, d_top))
+    return (g_max, d_max, draw(st.integers(0, g_max)),
+            draw(st.integers(1, d_max)))
+
+
+def cell_values(draw, g_max: int, d_max: int, values) -> dict:
+    cells = [(g, d) for d in range(1, d_max + 1) for g in range(g_max + 1)]
+    return draw(st.dictionaries(st.sampled_from(cells), values,
+                                max_size=len(cells)))
+
+
+@settings
+@hypothesis.given(windows(), st.data())
+def test_gv_to_gw_matches_the_fraction_loop(window, data):
+    """Rational GV entries (denominators up to 30) on any cell; gw_to_gv
+    of the result, whose denominators come from the covers, as well."""
+    g_max, d_max, g_out, d_out = window
+    gv = GvTable(cell_values(data.draw, g_max, d_max, st.fractions(
+        min_value=-50, max_value=50, max_denominator=30)), g_max, d_max)
+    gw = gv_to_gw(gv, g_out, d_out)
+    assert gw == reference_gv_to_gw(gv, g_out, d_out)
+    assert gw_to_gv(gw, g_out, d_out) == reference_gw_to_gv(gw, g_out, d_out)
+
+
+@settings
+@hypothesis.given(windows(), st.data())
+def test_gw_to_gv_matches_the_fraction_loop(window, data):
+    """GW entries with denominators unrelated to those of the covers."""
+    g_max, d_max, g_out, d_out = window
+    gw = GwTable(cell_values(data.draw, g_max, d_max, st.builds(
+        Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))),
+        g_max, d_max)
+    assert gw_to_gv(gw, g_out, d_out) == reference_gw_to_gv(gw, g_out, d_out)
 
 
 @st.composite
