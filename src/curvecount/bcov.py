@@ -58,8 +58,6 @@ __all__ = [
 STATUS_UNKNOWN = "unknown"
 STATUS_REGULARITY = "fixed-regularity"
 STATUS_GAP = "fixed-gap"
-STATUS_CASTELNUOVO = "fixed-castelnuovo"
-STATUS_SUPPLIED = "supplied"
 
 # The quintic's conifold discriminant is 1 - 5^5 q.
 QUINTIC_CONIFOLD = 5 ** 5
@@ -343,10 +341,6 @@ class ResolutionPlan:
     missing_degrees: tuple[int, ...]
     supplements: tuple[tuple[int, int], ...]  # (degree, extremal GV value)
     status: str  # closed | conditional | open
-
-    @property
-    def closes(self) -> bool:
-        return self.status in ("closed", "conditional")
 
     def to_json_dict(self) -> dict:
         return {

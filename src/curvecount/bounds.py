@@ -69,12 +69,10 @@ class ThreefoldProfile:
 class BoundReport:
     d: int
     bound: Fraction
-    bound_floor: int
-    formula_id: str
 
-    @classmethod
-    def make(cls, d: int, bound: Fraction, formula_id: str) -> BoundReport:
-        return cls(d, bound, math.floor(bound), formula_id)
+    @property
+    def bound_floor(self) -> int:
+        return math.floor(self.bound)
 
 
 def bps_threshold(d: int) -> Fraction:
@@ -91,6 +89,13 @@ def bps_threshold_floor(d: int) -> int:
     return math.floor(bps_threshold(d))
 
 
+def _at_least(**limits: tuple[int, int]) -> None:
+    """Raise ValueError for the first name=(value, low) with value < low."""
+    for name, (value, low) in limits.items():
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 def _genus_bound(n: int, i: int, m: int, d: int) -> Fraction:
     """d^2/(2nm) + ((m-i)/2) d + 1, the one home of the divisor-type bounds."""
     return Fraction(d * d, 2 * n * m) + Fraction(m - i, 2) * d + 1
@@ -100,8 +105,7 @@ def genus_bound_general(profile: ThreefoldProfile, d: int) -> BoundReport:
     """d^2/(2n) + ((1-i)/2) d + 1."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    b = _genus_bound(profile.degree, profile.index, 1, d)
-    return BoundReport.make(d, b, "general-bmt")
+    return BoundReport(d, _genus_bound(profile.degree, profile.index, 1, d))
 
 
 def genus_bound_hypersurface(n: int, d: int) -> BoundReport:
@@ -110,7 +114,7 @@ def genus_bound_hypersurface(n: int, d: int) -> BoundReport:
         raise ValueError("hypersurface bound needs n <= 5")
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
-    return BoundReport.make(d, _genus_bound(n, 5 - n, 1, d), "hypersurface")
+    return BoundReport(d, _genus_bound(n, 5 - n, 1, d))
 
 
 def genus_bound_nonhyperplane(n: int, d: int) -> BoundReport:
@@ -121,7 +125,7 @@ def genus_bound_nonhyperplane(n: int, d: int) -> BoundReport:
         raise ValueError("n and d must be >= 1")
     b = (Fraction(d * d, 2 * n)
          + (Fraction(n, 2) - Fraction(1, n) - 2) * d + 2 + Fraction(1, n))
-    return BoundReport.make(d, b, "non-hyperplane")
+    return BoundReport(d, b)
 
 
 def genus_bound_divisor(n: int, i: int, m: int, d: int) -> BoundReport:
@@ -130,7 +134,7 @@ def genus_bound_divisor(n: int, i: int, m: int, d: int) -> BoundReport:
         raise ValueError("m must be >= 1")
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
-    return BoundReport.make(d, _genus_bound(n, i, m, d), "divisor")
+    return BoundReport(d, _genus_bound(n, i, m, d))
 
 
 def _h0_quintic_surface(m: int) -> int:
@@ -183,6 +187,7 @@ def castelnuovo_corollary_check(g_max: int = 53) -> CorollaryReport:
     Exact-equality cases are reported separately; for g_max = 53 the single
     equality is (g, d) = (51, 20) and there are no strict violations.
     """
+    _at_least(g_max=(g_max, 0))
     equalities: list[tuple[int, int]] = []
     violations: list[tuple[int, int]] = []
     checked = 0
@@ -198,9 +203,6 @@ def castelnuovo_corollary_check(g_max: int = 53) -> CorollaryReport:
 
 @dataclass(frozen=True)
 class BoundPropertyReport:
-    d_max: int
-    r_max: int
-    parts_max: int
     partitions_checked: int
     covers_checked: int
     superadditivity_violations: tuple = ()
@@ -232,6 +234,7 @@ def bound_function_properties(d_max: int, r_max: int,
     (B(d)-1)/r + 1 >= B(d/r) for divisors r <= r_max of d <= d_max, strict
     for r >= 2.
     """
+    _at_least(d_max=(d_max, 1), r_max=(r_max, 1), parts_max=(parts_max, 2))
     super_bad = []
     part_count = 0
     for total in range(2, d_max + 1):
@@ -256,9 +259,8 @@ def bound_function_properties(d_max: int, r_max: int,
                 cover_bad.append((d, r))
             if r >= 2 and lhs <= rhs:
                 strict_bad.append((d, r))
-    return BoundPropertyReport(
-        d_max, r_max, parts_max, part_count, cover_count,
-        tuple(super_bad), tuple(cover_bad), tuple(strict_bad))
+    return BoundPropertyReport(part_count, cover_count, tuple(super_bad),
+                               tuple(cover_bad), tuple(strict_bad))
 
 
 def max_vanishing_degree(g: int) -> int:

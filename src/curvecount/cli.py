@@ -139,6 +139,24 @@ def _require(args, *names) -> None:
             raise _UsageError(f"missing required option --{name.replace('_', '-')}")
 
 
+# The settings each command reads; one that only others read is a usage error.
+_READS = {
+    "gv2gw": {"gmax", "dmax", "apply_castelnuovo"},
+    "gw2gv": {"gmax", "dmax", "apply_castelnuovo", "integrality"},
+    "gv2pt": {"gmax", "dmax", "qwindow", "apply_castelnuovo"},
+    "pt2dt": {"dmax", "qwindow", "dt0"},
+    "validate --kind gv": {"gmax", "dmax", "integrality", "castelnuovo"},
+    "validate --kind pt": {"dmax", "castelnuovo"},
+}
+
+
+def _reject_unread(args, label: str) -> None:
+    for name in sorted(set().union(*_READS.values()) - _READS[label]):
+        value = getattr(args, name, None)
+        if value is not None and value is not False:  # --gmax 0 counts
+            raise _UsageError(f"{label} does not read --{name.replace('_', '-')}")
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="curvecount", description=__doc__.splitlines()[0])
     p.add_argument("--config", help="key = value defaults file (flags win)")
@@ -210,8 +228,8 @@ def _violation_payload(kind: str, items) -> dict:
 
 def _vanishing(table, reports: list):
     """Apply the table's threshold law and report the entries it removed."""
-    table, rep = transforms.apply_castelnuovo_vanishing(table)
-    reports.append(_violation_payload(f"castelnuovo-{table.kind}", rep.removed))
+    table, removed = transforms.apply_castelnuovo_vanishing(table)
+    reports.append(_violation_payload(f"castelnuovo-{table.kind}", removed))
     return table
 
 
@@ -226,6 +244,7 @@ def _failed(reports: list) -> bool:
 
 def _run_transform(args) -> int:
     _require(args, "infile", "outfile")
+    _reject_unread(args, args.direction)
     reports = []
     if args.direction == "gv2gw":
         _require(args, "gmax", "dmax")
@@ -264,32 +283,20 @@ def _run_transform(args) -> int:
 def _run_bounds(args) -> int:
     if args.action == "table":
         _require(args, "n", "i", "dmax")
-        n, i, dmax = args.n, args.i, args.dmax
-        profile = bounds_mod.ThreefoldProfile.general(n, i)
-        quintic = (n, i) == (5, 0)
-        cols = ["d", "general", "general_floor"]
-        if quintic:
-            cols = ["d", "B", "B_floor", "hyp_bound", "hyp_bound_floor",
-                    "nonhyp_bound", "nonhyp_bound_floor",
-                    "general", "general_floor"]
-        elif n <= 5:
-            cols = ["d", "hyp_bound", "hyp_bound_floor",
-                    "nonhyp_bound", "nonhyp_bound_floor",
-                    "general", "general_floor"]
-        lines = [",".join(cols)]
-        for d in range(1, dmax + 1):
-            row = [str(d)]
-            if quintic:
-                b = bounds_mod.bps_threshold(d)
-                row += [format_rational(b), str(math.floor(b))]
-            if n <= 5:
-                h = bounds_mod.genus_bound_hypersurface(n, d)
-                nh = bounds_mod.genus_bound_nonhyperplane(n, d)
-                row += [format_rational(h.bound), str(h.bound_floor),
-                        format_rational(nh.bound), str(nh.bound_floor)]
-            gen = bounds_mod.genus_bound_general(profile, d)
-            row += [format_rational(gen.bound), str(gen.bound_floor)]
-            lines.append(",".join(row))
+        n, i, bm = args.n, args.i, bounds_mod
+        bm._at_least(d_max=(args.dmax, 1))
+        profile = bm.ThreefoldProfile.general(n, i)
+        columns = [("B", bm.bps_threshold)] if (n, i) == (5, 0) else []
+        if n <= 5:
+            columns += [
+                ("hyp_bound", lambda d: bm.genus_bound_hypersurface(n, d).bound),
+                ("nonhyp_bound", lambda d: bm.genus_bound_nonhyperplane(n, d).bound)]
+        columns.append(("general", lambda d: bm.genus_bound_general(profile, d).bound))
+        lines = [",".join(["d"] + [f"{c},{c}_floor" for c, _ in columns])]
+        for d in range(1, args.dmax + 1):
+            bs = [bound(d) for _, bound in columns]
+            lines.append(",".join([str(d)] + [
+                f"{format_rational(b)},{math.floor(b)}" for b in bs]))
         _write_out(args.outfile, "\n".join(lines) + "\n")
         return EXIT_OK
     if args.what == "corollary":
@@ -351,15 +358,11 @@ def _run_bcov(args) -> int:
 
 def _run_validate(args) -> int:
     _require(args, "infile", "kind")
+    _reject_unread(args, f"validate --kind {args.kind}")
     reports = []
-    if args.kind == "gv":
-        table = _read_table(args.infile, "gv", g_max=args.gmax,
-                            d_max=args.dmax)
-        if args.integrality:
-            _integrality(table, reports)
-    else:
-        table = _read_table(args.infile, "pt",
-                            d_max=args.dmax)
+    table = _read_table(args.infile, args.kind, g_max=args.gmax, d_max=args.dmax)
+    if args.integrality:
+        _integrality(table, reports)
     if args.castelnuovo:
         _vanishing(table, reports)
     failed = _failed(reports)
@@ -381,14 +384,9 @@ _RUNNERS = {
 def _joined_window_args(argv: list[str]) -> list[str]:
     """Fold ``--qwindow -10:10`` into one token; bare ``-10:10`` trips argparse."""
     out: list[str] = []
-    skip = False
-    for idx, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok == "--qwindow" and idx + 1 < len(argv):
-            out.append(f"--qwindow={argv[idx + 1]}")
-            skip = True
+    for tok in argv:
+        if out and out[-1] == "--qwindow":
+            out[-1] += f"={tok}"
         else:
             out.append(tok)
     return out

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import bps_threshold_floor
+from .bounds import _at_least, bps_threshold_floor
 from .series import (_coerce, _is_int, _json_fields, format_rational,
                      parse_rational)
 
@@ -44,10 +44,7 @@ class _Table:
     """Window check, lookup and row order; a shape adds its window and law."""
 
     def __post_init__(self):
-        for key, low in (("g_max", 0), ("d_max", 1)):
-            value = getattr(self, key, low)
-            if value < low:
-                raise ValueError(f"{key} must be >= {low}, got {value}")
+        _at_least(g_max=(getattr(self, "g_max", 0), 0), d_max=(self.d_max, 1))
         entries = ((k, _coerce(v)) for k, v in self.entries.items())
         object.__setattr__(self, "entries", {k: v for k, v in entries if v})
         for (a, d) in self.entries:
@@ -136,9 +133,6 @@ _FIRST_COLUMN = {"gv": "g", "gw": "g", "pt": "n"}
 
 def _add_entry(entries: dict, a, d, v) -> None:
     """Add one row: integer keys and an exact value, or their CSV text."""
-    if any(isinstance(x, (bool, float)) for x in (a, d, v)):
-        raise ValueError("expected integer keys and an exact value, "
-                         f"got {json.dumps([a, d, v])}")
     key = (int(a), int(d))
     if key in entries:
         raise ValueError(f"duplicate entry ({key[0]},{key[1]})")
@@ -232,6 +226,9 @@ def table_from_json_dict(d: dict):
         try:
             if not isinstance(entry, list) or len(entry) != 3:
                 raise ValueError(f"expected [key, d, value], got {json.dumps(entry)}")
+            if any(isinstance(x, (bool, float)) for x in entry):
+                raise ValueError("expected integer keys and an exact value, "
+                                 f"got {json.dumps(entry)}")
             _add_entry(entries, *entry)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"entry {i}: {exc}") from None

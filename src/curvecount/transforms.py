@@ -32,7 +32,7 @@ bookkeeping stays in u; signs convert to q-coefficients in exactly one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
@@ -52,7 +52,6 @@ __all__ = [
     "pt_to_dt",
     "apply_castelnuovo_vanishing",
     "connected_vanishing_check",
-    "VanishingReport",
 ]
 
 
@@ -290,23 +289,11 @@ def pt_to_dt(pt: PtTable, dt0: LaurentSeries) -> PtTable:
     return PtTable(entries, pt.d_max, (n_min, out_max))
 
 
-@dataclass(frozen=True)
-class VanishingReport:
-    """Entries zeroed (or flagged) by a vanishing rule, with their values."""
-
-    rule: str
-    removed: tuple[tuple[tuple[int, int], Fraction], ...]
-
-    @property
-    def clean(self) -> bool:
-        return not self.removed
-
-
 def apply_castelnuovo_vanishing(table):
     """Zero the entries the quintic threshold forbids and flag the table.
 
     GV tables: entries with g > B(d).  PT tables: entries with n < 1 - B(d).
-    Returns (flagged table, report of the nonzero entries that were zeroed).
+    Returns (flagged table, the zeroed nonzero entries as (key, value) pairs).
     """
     if not isinstance(table, (GvTable, PtTable)):
         raise TypeError("expected a GV or PT table")
@@ -317,8 +304,7 @@ def apply_castelnuovo_vanishing(table):
             removed.append((key, v))
         else:
             kept[key] = v
-    return (replace(table, entries=kept, castelnuovo_valid=True),
-            VanishingReport("castelnuovo", tuple(removed)))
+    return replace(table, entries=kept, castelnuovo_valid=True), tuple(removed)
 
 
 def connected_vanishing_check(F: BivariateSeries

@@ -227,8 +227,10 @@ def enumerate_destabilizers(n: int, d: int,
 
     Constraints: ceil(b) <= -k <= -1, 1 <= d1 < d - k^2 n / 2, and
     d1 < d + k^2 n / 2 - k sqrt(2nd), the last decided exactly by squaring:
-    with M := 2(d - d1) + k^2 n it reads M > 0 and M^2 > 8 n d k^2.
+    with M := 2(d - d1) + k^2 n, > 0 by the second, it reads M^2 > 8 n d k^2.
     """
+    if n < 1 or d < 1:
+        raise ValueError("n and d must be >= 1")
     b = Fraction(b)
     if b >= 0 or n * b * b > d:
         raise ValueError(f"b={b} outside [-sqrt(d/n), 0)")
@@ -239,7 +241,7 @@ def enumerate_destabilizers(n: int, d: int,
             if 2 * (d - d1) <= k * k * n:  # d1 < d - k^2 n / 2, exactly
                 break
             M = 2 * (d - d1) + k * k * n
-            if M <= 0 or M * M <= 8 * n * d * k * k:
+            if M * M <= 8 * n * d * k * k:
                 break
             out.append(DestabilizerCandidate(k, d1, ideal_wall_circle(n, d, k, d1)))
     return out

@@ -165,5 +165,16 @@ def test_profile_validation():
 
 
 def test_bound_report_floor():
-    r = BoundReport.make(7, F(233, 5), "x")
+    r = BoundReport(7, F(233, 5))
     assert r.bound_floor == 46
+
+
+@pytest.mark.parametrize("check, args, message", [
+    (castelnuovo_corollary_check, (-4,), "g_max must be >= 0, got -4"),
+    (bound_function_properties, (-2, 0, 0), "d_max must be >= 1, got -2"),
+    (bound_function_properties, (3, 0, 2), "r_max must be >= 1, got 0"),
+    (bound_function_properties, (3, 1, 1), "parts_max must be >= 2, got 1"),
+], ids=["g_max", "d_max", "r_max", "parts_max"])
+def test_checks_reject_an_empty_range(check, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(*args)

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
+from curvecount import cli
 from curvecount.cli import main
 from curvecount.series import LaurentSeries
 from curvecount.tables import (
+    GwTable,
     read_table_csv,
     read_table_json,
     table_to_csv,
@@ -487,4 +490,137 @@ def test_bad_window_flags_on_a_csv_table_name_no_file(tmp_path, capsys,
     assert main(["transform", direction, "--in", src, "--out", str(out),
                  *flags]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_gv2gw_and_gw2gv_apply_castelnuovo_report_removed_entries(tmp_path):
+    # (7, 5) lies above B(5) = 6: each direction zeroes it and exits 2
+    window = ["--gmax", "7", "--dmax", "5"]
+    src = write(tmp_path / "gv.csv", "g,d,value\n0,1,2875\n7,5,4\n")
+    clean = write(tmp_path / "clean.csv", "g,d,value\n0,1,2875\n")
+    gw, gw_clean, back = (tmp_path / n for n in ("gw.csv", "gwc.csv", "b.csv"))
+    report = tmp_path / "report.json"
+    removed = [{"check": "castelnuovo-gv",
+                "violations": [{"key": [7, 5], "value": "4"}]}]
+    assert main(["transform", "gv2gw", "--in", src, "--out", str(gw),
+                 "--apply-castelnuovo", "--report", str(report),
+                 *window]) == 2
+    assert json.loads(report.read_text()) == {"reports": removed}
+    assert main(["transform", "gv2gw", "--in", clean, "--out", str(gw_clean),
+                 *window]) == 0
+    assert gw.read_bytes() == gw_clean.read_bytes()
+    assert main(["transform", "gv2gw", "--in", src, "--out", str(gw),
+                 *window]) == 0
+    assert main(["transform", "gw2gv", "--in", str(gw), "--out", str(back),
+                 "--apply-castelnuovo", "--report", str(report),
+                 *window]) == 2
+    assert json.loads(report.read_text()) == {"reports": removed}
+    assert back.read_text() == "g,d,value\n0,1,2875\n"
+
+
+def test_table_of_the_wrong_kind_is_a_usage_error(tmp_path, capsys):
+    src = write(tmp_path / "gw.json", table_to_json(GwTable({(0, 1): F(1)}, 0, 1)))
+    out = tmp_path / "out.csv"
+    assert main(["transform", "gv2gw", "--in", src, "--out", str(out),
+                 "--gmax", "0", "--dmax", "1"]) == 1
+    assert capsys.readouterr().err == f"error: expected a gv table in {src}\n"
+    assert not out.exists()
+
+
+def test_atomic_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    target = str(tmp_path / "t.csv")
+    with pytest.raises(UnicodeEncodeError):  # a lone surrogate
+        cli._atomic_write(target, "g,d,value\n\ud800")
+    assert list(tmp_path.iterdir()) == []
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        cli._atomic_write(target, "g,d,value\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# sha256 of `bounds table --dmax 25`, pinned before the columns became one list
+@pytest.mark.parametrize("n, i, digest", [
+    (5, 0, "ca45073373f525d3c6e78c3ae5e2b507a35e4e137636495d8ac56fe562b9d5a6"),
+    (4, 1, "bbed13cea7806a2dbcda59b2a876c79cf1ea875989619fd02338eaae1bbfdca1"),
+    (3, 2, "863067758a1b943f63ab9321440aeb67ff445f61222a9e8a44956411ad8ae910"),
+    (7, 2, "4e3ef7fdaec1bfaa4cfce0fd5066defc172b51d282c218b0b930bc9190237154"),
+])
+def test_bounds_table_bytes(tmp_path, n, i, digest):
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "table", "--n", str(n), "--i", str(i),
+                 "--dmax", "25", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "check", "properties", "--dmax", "-2", "--rmax", "0",
+      "--parts", "0"], "d_max must be >= 1, got -2"),
+    (["bounds", "check", "corollary", "--gmax", "-4"],
+     "g_max must be >= 0, got -4"),
+    (["bounds", "table", "--n", "5", "--i", "0", "--dmax", "-3"],
+     "d_max must be >= 1, got -3"),
+], ids=["properties", "corollary", "table"])
+def test_bounds_commands_reject_an_empty_range(tmp_path, capsys, argv,
+                                               message):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# an argv each command accepts once --in (and for transforms --out) is added
+_BASE_ARGV = {
+    "gv2gw": ["transform", "gv2gw", "--gmax", "1", "--dmax", "1"],
+    "gw2gv": ["transform", "gw2gv", "--gmax", "1", "--dmax", "1"],
+    "gv2pt": ["transform", "gv2pt", "--dmax", "1", "--qwindow", "0:3"],
+    "pt2dt": ["transform", "pt2dt", "--dt0", "dt0.json"],
+    "validate --kind pt": ["validate", "--kind", "pt", "--report", "r.json"],
+}
+
+
+_UNREAD = [
+    ("gv2gw", ["--qwindow", "0:3"]),
+    ("gv2gw", ["--dt0", "nope.json"]),
+    ("gv2gw", ["--integrality"]),
+    ("gw2gv", ["--qwindow", "0:3"]),
+    ("gw2gv", ["--dt0", "nope.json"]),
+    ("gv2pt", ["--dt0", "nope.json"]),
+    ("gv2pt", ["--integrality"]),
+    ("pt2dt", ["--gmax", "3"]),
+    ("pt2dt", ["--apply-castelnuovo"]),
+    ("pt2dt", ["--integrality"]),
+    ("validate --kind pt", ["--gmax", "3"]),
+    ("validate --kind pt", ["--integrality"]),
+]
+
+
+@pytest.mark.parametrize("label, flag", _UNREAD, ids=[
+    f"{label.replace(' --kind ', '-')}{flag[0]}" for label, flag in _UNREAD])
+def test_an_option_the_command_does_not_read_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, label, flag):
+    monkeypatch.chdir(tmp_path)  # no input exists; nothing may be written
+    argv = _BASE_ARGV[label] + ["--in", "absent.csv", *flag]
+    if argv[0] == "transform":
+        argv += ["--out", "out.csv"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {label} does not read {flag[0]}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("line, label, option", [
+    ("qwindow = 0:3", "gv2gw", "--qwindow"),
+    ("gmax = 2", "pt2dt", "--gmax"),
+], ids=["gv2gw--qwindow", "pt2dt--gmax"])
+def test_an_unread_config_key_is_a_usage_error(tmp_path, capsys, line, label,
+                                               option):
+    cfg = write(tmp_path / "cc.conf", line + "\n")
+    out = tmp_path / "out.csv"
+    argv = _BASE_ARGV[label] + [
+        "--in", str(tmp_path / "absent.csv"), "--out", str(out)]
+    assert main(["--config", cfg] + argv) == 1
+    assert capsys.readouterr().err == f"error: {label} does not read {option}\n"
     assert not out.exists()

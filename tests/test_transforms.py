@@ -400,26 +400,26 @@ def test_dt_rejects_bad_dt0():
 
 def test_gv_vanishing_rule():
     gv = GvTable({(7, 5): F(4), (6, 5): F(10)}, 9, 6)
-    flagged, report = apply_castelnuovo_vanishing(gv)
+    flagged, removed = apply_castelnuovo_vanishing(gv)
     assert flagged.castelnuovo_valid
     assert flagged.entries == {(6, 5): F(10)}  # B(5) = 6 keeps genus 6
-    assert report.removed == (((7, 5), F(4)),)
+    assert removed == (((7, 5), F(4)),)
 
 
 def test_pt_vanishing_rule():
     # 1 - B(20) = -50: n = -51 is below threshold at d = 20 and at d = 19
     pt = PtTable({(-51, 20): F(1), (-51, 19): F(2), (-50, 20): F(175)},
                  20, (-60, 0))
-    flagged, report = apply_castelnuovo_vanishing(pt)
+    flagged, removed = apply_castelnuovo_vanishing(pt)
     assert flagged.entries == {(-50, 20): F(175)}
-    assert [k for k, _ in report.removed] == [(-51, 19), (-51, 20)]
+    assert [k for k, _ in removed] == [(-51, 19), (-51, 20)]
     assert 1 - bps_threshold(19) == F(-228, 5)  # -45.6 > -51
 
 
 def test_vanishing_clean_table():
     gv = GvTable({(0, 1): F(1)}, 0, 1)
-    flagged, report = apply_castelnuovo_vanishing(gv)
-    assert report.clean and flagged.entries == gv.entries
+    flagged, removed = apply_castelnuovo_vanishing(gv)
+    assert not removed and flagged.entries == gv.entries
 
 
 def test_vanishing_rejects_gw_tables():
@@ -471,8 +471,8 @@ def test_extremal_value_flows_to_dt_bottom():
     assert top == 175
     entries = {(51, 20): top, (0, 1): F(2875), (1, 3): F(7), (6, 5): F(10)}
     gv = GvTable(entries, 51, 20)
-    flagged, report = apply_castelnuovo_vanishing(gv)
-    assert report.clean  # 51 = B(20) sits on the boundary, not above it
+    flagged, removed = apply_castelnuovo_vanishing(gv)
+    assert not removed  # 51 = B(20) sits on the boundary, not above it
     Fp = gv_to_pt_connected(flagged, 20, (-50, 2))
     assert connected_vanishing_check(Fp) == []
     assert Fp.per_degree[20].min_exp == -50

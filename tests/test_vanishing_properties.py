@@ -59,12 +59,12 @@ def allowed(table, a: int, d: int) -> bool:
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(st.one_of(gv_tables(), pt_tables()))
 def test_vanishing_keeps_exactly_what_the_threshold_allows(table):
-    flagged, report = apply_castelnuovo_vanishing(table)
+    flagged, removed = apply_castelnuovo_vanishing(table)
     assert flagged.entries == {k: v for k, v in table.entries.items()
                                if allowed(table, *k)}
-    assert dict(report.removed) == {k: v for k, v in table.entries.items()
-                                    if not allowed(table, *k)}
-    keys = [k for k, _ in report.removed]
+    assert dict(removed) == {k: v for k, v in table.entries.items()
+                             if not allowed(table, *k)}
+    keys = [k for k, _ in removed]
     assert keys == sorted(keys, key=lambda k: (k[1], k[0]))
     assert flagged.castelnuovo_valid
     assert replace(flagged, entries=table.entries,

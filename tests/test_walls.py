@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from curvecount.bounds import ThreefoldProfile
+from curvecount.svg import render_candidates_svg
 from curvecount.walls import (
     ChernCharacter,
     WallLocus,
@@ -330,3 +331,22 @@ def test_cross_profile_error():
     w = ChernCharacter.ideal_sheaf(P3, 5, 0)
     with pytest.raises(ValueError):
         numerical_wall(v, w)
+
+
+def test_genus_inverts_the_ideal_sheaf_constructor():
+    for profile in (QUINTIC, P3, ThreefoldProfile.general(3, 2)):
+        for d, g in [(1, 0), (5, 6), (20, 51), (7, F(-3, 2))]:
+            assert ChernCharacter.ideal_sheaf(profile, d, g).genus() == g
+
+
+def test_svg_of_no_candidates_draws_only_the_axes():
+    body = render_candidates_svg([])
+    assert body.startswith("<svg") and body.endswith("</svg>\n")
+    assert body.count("<line") == 2 and "<path" not in body
+    assert "<text" not in body
+
+
+@pytest.mark.parametrize("n, d", [(0, 20), (-5, 20), (5, 0)])
+def test_enumerate_destabilizers_needs_positive_n_and_d(n, d):
+    with pytest.raises(ValueError, match="^n and d must be >= 1$"):
+        enumerate_destabilizers(n, d, -1)
