@@ -19,6 +19,13 @@ the frame: a frame derives Y(Delta) only when ``y_of_flat`` is first read
 against Delta(delta) without deriving it.  The frames delta(q),
 Delta(delta) and the low-degree data are external inputs; only the solves
 live here.
+
+The bookkeeping is O(1) in g.  B(d) = (d^2+5d+10)/10 < g is (2d+5)^2 <
+40g - 15, so D(g) = max(0, (isqrt(40g-16) - 5) // 2); of K = floor((2g-2)/5)
+initial conditions E = min(D(g), K) are fixed, the degrees E+1..K missing.
+B strictly increases, so at most one d has B(d) = g: d = (r-5)/2 when
+r = isqrt(40g-15) has r^2 = 40g - 15, a multiple of 5 whose extremal GV
+value supplies that condition.
 """
 
 from __future__ import annotations
@@ -26,10 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from itertools import count
+from math import comb, isqrt
 
 from .bernoulli import bernoulli
-from .bounds import bps_threshold, extremal_gv, max_vanishing_degree
+from .bounds import extremal_gv, max_vanishing_degree
 from .series import (
     LaurentSeries,
     WindowError,
@@ -117,10 +125,6 @@ class HolomorphicAmbiguity:
             coeffs[i] = Fraction(v)
             stat[i] = status
         return HolomorphicAmbiguity(self.g, tuple(coeffs), tuple(stat))
-
-    @property
-    def resolved(self) -> bool:
-        return all(c is not None for c in self.coeffs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -269,14 +273,21 @@ def gap_solve(g: int, known_terms: LaurentSeries,
 class CastelnuovoSolveResult:
     g: int
     values: dict[int, Fraction]
-    unresolved: tuple[int, ...]
+    unresolved: range  # a_{g-1-k} for the missing degrees k
     E: int
     K: int
-    missing_degrees: tuple[int, ...]
+    missing_degrees: range
 
     @property
     def closed(self) -> bool:
         return not self.unresolved
+
+
+def _deficit(g: int, Dg: int) -> tuple[int, int, range]:
+    """(K, E, missing degrees E+1..K), K = floor((2g-2)/5), E = min(Dg, K)."""
+    K = len(castelnuovo_indices(g))
+    E = min(Dg, K)
+    return K, E, range(E + 1, K + 1)
 
 
 def castelnuovo_solve(g: int, known_poly_q: LaurentSeries, Dg: int,
@@ -291,19 +302,17 @@ def castelnuovo_solve(g: int, known_poly_q: LaurentSeries, Dg: int,
     the K - E missing initial conditions leave the system underdetermined
     and the result reports them as unresolved.
     """
-    K = len(castelnuovo_indices(g))
+    K, E, missing = _deficit(g, Dg)
     if Dg < 0:
         raise ValueError(f"max vanishing degree must be >= 0, got {Dg}")
     if known_poly_q.variable != "q":
         raise ValueError("known polynomial must be a series in q")
-    E = min(Dg, K)
     if len(supplied_gw) < E + 1:
         raise ValueError(f"need degree data through q^{E}")
     if known_poly_q.trunc_order < E:
         raise WindowError(f"known polynomial must be known through q^{E}")
-    if E < K:
-        missing = tuple(range(E + 1, K + 1))
-        unresolved = tuple(g - 1 - k for k in missing)
+    unresolved = range(g - 2 - E, g - 2 - K, -1)
+    if missing:
         return CastelnuovoSolveResult(g, {}, unresolved, E, K, missing)
     s, den = _numerators([
         (Fraction(supplied_gw[j]) - known_poly_q.coefficient(j))
@@ -311,17 +320,16 @@ def castelnuovo_solve(g: int, known_poly_q: LaurentSeries, Dg: int,
     values = {g - 1 - k: Fraction(sum((-1) ** (j - k) * comb(j, k) * s[j]
                                       for j in range(k, K + 1)), den)
               for k in range(K, -1, -1)}
-    return CastelnuovoSolveResult(g, values, (), E, K, ())
+    return CastelnuovoSolveResult(g, values, unresolved, E, K, missing)
 
 
-def assemble_fg(coeffs, y: LaurentSeries) -> LaurentSeries:
-    """sum_i a_i Y^i on Y's window; accepts an ambiguity object or a map."""
-    if isinstance(coeffs, HolomorphicAmbiguity):
-        if not coeffs.resolved:
-            raise ValueError("unresolved ambiguity cannot be assembled")
-        coeffs = dict(enumerate(coeffs.coeffs))
+def assemble_fg(coeffs: dict, y: LaurentSeries) -> LaurentSeries:
+    """sum_i a_i Y^i on Y's window from the map i -> a_i; an unknown a_i
+    (None) raises ValueError rather than counting as zero."""
     out = LaurentSeries.zero(y.variable, y.trunc_order)
     for i, c in sorted(coeffs.items()):
+        if c is None:
+            raise ValueError(f"coefficient a_{i} is unknown")
         if c:
             out = out + (y ** i).scale(c)
     return out
@@ -332,67 +340,57 @@ class ResolutionPlan:
     """Which axiom fixes which index, and whether the system closes."""
 
     g: int
-    regularity: tuple[int, ...]
-    castelnuovo: tuple[int, ...]
-    gap: tuple[int, ...]
+    regularity: range
+    castelnuovo: range
+    gap: range
     K: int
     Dg: int
     E: int
-    missing_degrees: tuple[int, ...]
+    missing_degrees: range
     supplements: tuple[tuple[int, int], ...]  # (degree, extremal GV value)
     status: str  # closed | conditional | open
 
     def to_json_dict(self) -> dict:
+        span = lambda r: {"start": r.start, "stop": r.stop}
         return {
             "g": self.g,
             "indices": {
-                "fixed_regularity": list(self.regularity),
-                "castelnuovo_window": list(self.castelnuovo),
-                "fixed_gap": list(self.gap),
+                "fixed_regularity": span(self.regularity),
+                "castelnuovo_window": span(self.castelnuovo),
+                "fixed_gap": span(self.gap),
             },
             "initial_conditions": self.K,
             "max_vanishing_degree": self.Dg,
             "resolved_conditions": self.E,
-            "missing_degrees": list(self.missing_degrees),
+            "missing_degrees": span(self.missing_degrees),
             "extremal_supplements": [
                 {"d": d, "value": v} for d, v in self.supplements],
             "status": self.status,
         }
 
 
-def first_open_genus(g_limit: int = 200) -> int | None:
+def first_open_genus() -> int:
     """Smallest genus whose plan neither closes nor admits supplements."""
-    for g in range(2, g_limit + 1):
-        if resolution_plan(g).status == "open":
-            return g
-    return None
+    return next(g for g in count(2) if resolution_plan(g).status == "open")
 
 
 def resolution_plan(g: int) -> ResolutionPlan:
-    """Report closure of the index bookkeeping at genus g.
-
-    Closes outright when D(g) >= floor(2(g-1)/5); a missing degree d can be
-    supplied exactly when the threshold is hit on the nose (B(d) = g with
-    d = 5m), where the extremal value is known.
-    """
-    middle = castelnuovo_indices(g)
-    K = len(middle)
+    """Closure of the index bookkeeping at genus g, in O(1): closed when
+    D(g) >= K, conditional when the one missing degree d has B(d) = g (its
+    extremal value is known), else open."""
+    _check_genus(g)
     Dg = max_vanishing_degree(g)
-    E = min(Dg, K)
-    missing = tuple(range(E + 1, K + 1))
-    supplements = []
-    feasible = True
-    for d in missing:
-        if d % 5 == 0 and bps_threshold(d) == g:
-            supplements.append((d, extremal_gv(d // 5)))
-        else:
-            feasible = False
+    K, E, missing = _deficit(g, Dg)
+    r = isqrt(40 * g - 15)
+    d = (r - 5) // 2  # B(d) = g exactly when r^2 = 40g - 15
+    supplements = ((d, extremal_gv(d // 5)),) \
+        if r * r == 40 * g - 15 and d in missing else ()
     if not missing:
         status = "closed"
-    elif feasible:
+    elif supplements and len(missing) == 1:
         status = "conditional"
     else:
         status = "open"
     return ResolutionPlan(
-        g, tuple(regularity_indices(g)), tuple(middle),
-        tuple(gap_indices(g)), K, Dg, E, missing, tuple(supplements), status)
+        g, regularity_indices(g), castelnuovo_indices(g), gap_indices(g),
+        K, Dg, E, missing, supplements, status)

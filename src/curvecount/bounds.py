@@ -232,9 +232,9 @@ def bound_function_properties(d_max: int, r_max: int,
     Superadditivity: B(sum d_i) - 1 >= sum (B(d_i) - 1) over all partitions
     with at most parts_max parts and total <= d_max.  Cover inequality:
     (B(d)-1)/r + 1 >= B(d/r) for divisors r <= r_max of d <= d_max, strict
-    for r >= 2.
+    for r >= 2.  d_max >= 2, so that both halves check something.
     """
-    _at_least(d_max=(d_max, 1), r_max=(r_max, 1), parts_max=(parts_max, 2))
+    _at_least(d_max=(d_max, 2), r_max=(r_max, 1), parts_max=(parts_max, 2))
     super_bad = []
     part_count = 0
     for total in range(2, d_max + 1):
@@ -266,12 +266,10 @@ def bound_function_properties(d_max: int, r_max: int,
 def max_vanishing_degree(g: int) -> int:
     """D(g) = max{d >= 1 : B(d) < g}, or 0 when no degree qualifies.
 
+    B(d) < g is (2d+5)^2 < 40g - 15, so D(g) = (isqrt(40g-16) - 5) // 2.
     Strict inequality is forced by the (g, d) = (51, 20) boundary case:
     B(20) = 51 exactly, so D(51) = 19.
     """
     if g < 1:
         raise ValueError("g must be >= 1")
-    d = 0
-    while bps_threshold(d + 1) < g:
-        d += 1
-    return d
+    return max(0, (math.isqrt(40 * g - 16) - 5) // 2)

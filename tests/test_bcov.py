@@ -4,11 +4,15 @@ The gap solve is one composition in s = 1/Y; the Castelnuovo solve is a
 binomial inversion of the low-degree data.  Both are checked against round
 trips through ``assemble_fg`` and a binomial expansion, up to the paper's
 g = 53, and the gap solve against the Lagrange-Buermann loop it replaced.
+The closed-form resolution plan is checked against the degree-by-degree
+loop it replaced, and at a genus that loop could not reach.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import time
 from fractions import Fraction
 from operator import mul
 
@@ -20,6 +24,7 @@ from curvecount.bcov import (
     assemble_fg,
     castelnuovo_indices,
     castelnuovo_solve,
+    first_open_genus,
     gap_indices,
     gap_solve,
     gap_target,
@@ -27,6 +32,8 @@ from curvecount.bcov import (
     resolution_plan,
 )
 from curvecount.bernoulli import bernoulli
+from curvecount.bounds import bps_threshold, extremal_gv, max_vanishing_degree
+from curvecount.cli import main
 from curvecount.series import (
     LaurentSeries,
     WindowError,
@@ -174,8 +181,8 @@ def test_castelnuovo_solve_deficit_reports_unresolved():
                             [F(0)] * 26)
     assert not res.closed
     assert res.E == 19 and res.K == 20
-    assert res.missing_degrees == (20,)
-    assert res.unresolved == (51 - 1 - 20,)
+    assert res.missing_degrees == range(20, 21)
+    assert list(res.unresolved) == [51 - 1 - 20]
     assert res.values == {}
 
 
@@ -185,8 +192,16 @@ def test_assemble_fg():
     assert assemble_fg({3: F(1)}, y) == y ** 3
     amb = HolomorphicAmbiguity.blank(2)
     amb = amb.with_values({2: F(1), 3: F(0)}, "supplied")
-    assert amb.resolved
-    assert assemble_fg(amb, y) == y ** 2
+    assert None not in amb.coeffs
+    assert assemble_fg(dict(enumerate(amb.coeffs)), y) == y ** 2
+
+
+def test_assemble_fg_never_takes_an_unknown_as_zero():
+    y = ConifoldFrame.toy(10).y_of_flat
+    with pytest.raises(ValueError, match=r"a_0 is unknown"):
+        assemble_fg({0: None, 1: F(1)}, y)
+    with pytest.raises(ValueError, match=r"a_3 is unknown"):
+        assemble_fg(dict(enumerate(HolomorphicAmbiguity.blank(3).coeffs)), y)
 
 
 def test_resolution_plan_statuses():
@@ -200,13 +215,84 @@ def test_resolution_plan_statuses():
     assert resolution_plan(53).status == "closed"
     p54 = resolution_plan(54)
     assert p54.status == "open"
-    assert p54.missing_degrees == (21,)
+    assert p54.missing_degrees == range(21, 22)
+
+
+def reference_max_vanishing_degree(g: int) -> int:
+    """D(g) by the degree loop bounds ran before its closed form."""
+    d = 0
+    while bps_threshold(d + 1) < g:
+        d += 1
+    return d
+
+
+def reference_plan(g: int) -> tuple:
+    """(status, supplements, K, E, missing) by the degree-by-degree loop
+    resolution_plan ran before its closed form."""
+    K = len(castelnuovo_indices(g))
+    E = min(reference_max_vanishing_degree(g), K)
+    missing = tuple(range(E + 1, K + 1))
+    supplements = []
+    feasible = True
+    for d in missing:
+        if d % 5 == 0 and bps_threshold(d) == g:
+            supplements.append((d, extremal_gv(d // 5)))
+        else:
+            feasible = False
+    if not missing:
+        status = "closed"
+    elif feasible:
+        status = "conditional"
+    else:
+        status = "open"
+    return status, tuple(supplements), K, E, missing
+
+
+def test_resolution_plan_matches_the_reference_loop():
+    for g in range(2, 2001):
+        plan = resolution_plan(g)
+        assert (plan.status, plan.supplements, plan.K, plan.E,
+                tuple(plan.missing_degrees)) == reference_plan(g), g
+
+
+def test_max_vanishing_degree_matches_the_reference_loop():
+    # B(d + 1) < g is monotone in g, so the loop may resume where it ended
+    # for g - 1: d then takes exactly the value the loop from 0 reaches.
+    d = 0
+    for g in range(1, 10 ** 5 + 1):
+        while bps_threshold(d + 1) < g:
+            d += 1
+        assert max_vanishing_degree(g) == d, g
+    assert reference_max_vanishing_degree(10 ** 5) == d
+
+
+def _within_a_second(run):
+    start = time.perf_counter()
+    value = run()
+    assert time.perf_counter() - start < 1.0
+    return value
+
+
+def test_resolution_plan_at_a_huge_genus():
+    plan = _within_a_second(lambda: resolution_plan(10 ** 8))
+    assert plan.status == "open"
+    assert plan.K == len(plan.castelnuovo) == (2 * 10 ** 8 - 2) // 5
+
+
+def test_bcov_plan_cli_at_a_huge_genus(tmp_path):
+    out = tmp_path / "plan.json"
+    rc = _within_a_second(lambda: main(
+        ["bcov", "plan", "--g", "100000000", "--out", str(out)]))
+    assert rc == 0
+    assert out.stat().st_size < 1024
+    plan = json.loads(out.read_text())
+    assert plan["status"] == "open"
+    assert plan["indices"]["fixed_gap"] == {"start": 10 ** 8,
+                                            "stop": 3 * 10 ** 8 - 2}
 
 
 def test_first_open_genus():
-    from curvecount.bcov import first_open_genus
-
-    assert first_open_genus() == 54
+    assert _within_a_second(first_open_genus) == 54
 
 
 def test_resolution_plan_genus_five():

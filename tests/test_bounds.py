@@ -141,6 +141,12 @@ def test_bound_function_properties():
     assert (bps_threshold(10) - 1) / 2 + 1 == F(17, 2) > bps_threshold(5)
 
 
+def test_bound_function_properties_at_the_floor_check_both_halves():
+    rep = bound_function_properties(2, 1, 2)
+    assert rep.passed
+    assert rep.partitions_checked > 0 and rep.covers_checked > 0
+
+
 def test_max_vanishing_degree():
     assert max_vanishing_degree(51) == 19
     assert max_vanishing_degree(6) == 4
@@ -171,7 +177,7 @@ def test_bound_report_floor():
 
 @pytest.mark.parametrize("check, args, message", [
     (castelnuovo_corollary_check, (-4,), "g_max must be >= 0, got -4"),
-    (bound_function_properties, (-2, 0, 0), "d_max must be >= 1, got -2"),
+    (bound_function_properties, (-2, 0, 0), "d_max must be >= 2, got -2"),
     (bound_function_properties, (3, 0, 2), "r_max must be >= 1, got 0"),
     (bound_function_properties, (3, 1, 1), "parts_max must be >= 2, got 1"),
 ], ids=["g_max", "d_max", "r_max", "parts_max"])

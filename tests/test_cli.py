@@ -119,6 +119,13 @@ def test_bcov_plan(tmp_path):
     plan = json.loads(out.read_text())
     assert plan["status"] == "conditional"
     assert plan["extremal_supplements"] == [{"d": 20, "value": 175}]
+    assert plan["indices"] == {
+        "fixed_regularity": {"start": 0, "stop": 31},
+        "castelnuovo_window": {"start": 31, "stop": 51},
+        "fixed_gap": {"start": 51, "stop": 151}}
+    assert plan["missing_degrees"] == {"start": 20, "stop": 21}
+    assert (plan["initial_conditions"], plan["max_vanishing_degree"],
+            plan["resolved_conditions"]) == (20, 19, 19)
 
 
 def test_bcov_gap_solve(tmp_path):
@@ -557,12 +564,14 @@ def test_bounds_table_bytes(tmp_path, n, i, digest):
 
 @pytest.mark.parametrize("argv, message", [
     (["bounds", "check", "properties", "--dmax", "-2", "--rmax", "0",
-      "--parts", "0"], "d_max must be >= 1, got -2"),
+      "--parts", "0"], "d_max must be >= 2, got -2"),
+    (["bounds", "check", "properties", "--dmax", "1", "--rmax", "1",
+      "--parts", "2"], "d_max must be >= 2, got 1"),
     (["bounds", "check", "corollary", "--gmax", "-4"],
      "g_max must be >= 0, got -4"),
     (["bounds", "table", "--n", "5", "--i", "0", "--dmax", "-3"],
      "d_max must be >= 1, got -3"),
-], ids=["properties", "corollary", "table"])
+], ids=["properties", "properties_dmax_one", "corollary", "table"])
 def test_bounds_commands_reject_an_empty_range(tmp_path, capsys, argv,
                                                message):
     out = tmp_path / "out"
