@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 __all__ = [
@@ -82,11 +81,12 @@ def bps_threshold(d: int) -> Fraction:
     return Fraction(d * d + 5 * d + 10, 10)
 
 
-@lru_cache(maxsize=1024)
 def bps_threshold_floor(d: int) -> int:
     """floor(B(d)): for an integer g, g > B(d) iff g > floor(B(d)), and
     n < 1 - B(d) iff n < 1 - floor(B(d)), so the vanishing laws compare ints."""
-    return math.floor(bps_threshold(d))
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    return (d * d + 5 * d + 10) // 10
 
 
 def _at_least(**limits: tuple[int, int]) -> None:

@@ -18,15 +18,18 @@ K_{g'}'' = 2k(2k-1) K_{g'-1} - k^2 K_{g'}, so for g' >= 2
     [lam^m] K_{g'} = (2k(2k-1) [lam^(m-2)] K_{g'-1} - k^2 [lam^(m-2)] K_{g'})
                      / (m(m-1)),    m = 2k, 2k+2, ...,
 
-one pass of O(T) per genus up to lam^T, and K_0 = K_2^(-1).  Each row of M is
-integer numerators over its lcm denominator; from a row to an output cell each
-value is an integer pair (numerator, denominator), one Fraction per cell.
+and K_0 = K_2^(-1).  One loop builds M genus by genus on the integers
+e_m = m! [lam^m] K_{g'}, with no recursion; the rows g <= g_out, each integer
+numerators over its lcm denominator, are the one cached value (the last g_out
+only), shared by both directions.  From a row to an output cell each value is
+an integer pair (numerator, denominator), one Fraction per cell.
 
 The stable-pair side expands the same table in u := -q:
 
     t^d layer of log PT = sum n_g^{d'} ((-1)^(g-1)/r) u^(r(1-g)) (1-u^r)^(2g-2)
 
-(for g = 0 the kernel is the infinite series sum_m m u^(rm)).  All internal
+(for g = 0 the kernel is the infinite series sum_m m u^(rm)); one loop over
+the binomial coefficients of (1-u^r)^(2g-2) covers every g.  All internal
 bookkeeping stays in u; signs convert to q-coefficients in exactly one place.
 """
 
@@ -35,10 +38,11 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterator
 
+from .bounds import _at_least
 from .series import BivariateSeries, LaurentSeries, WindowError, _numerators
 from .tables import GvTable, GwTable, PtTable, TruncationError
 
@@ -55,51 +59,37 @@ __all__ = [
 ]
 
 
-# The longest chain of uncached predecessors one _cover_kernel call recurses
-# through.  It exceeds the paper's genus 53, where no call warms the chain.
-_CHAIN_STEP = 64
-
-
-@lru_cache(maxsize=None)
-def _cover_kernel(g_prime: int, lam_trunc: int) -> LaurentSeries:
-    """K_{g'} = (2 sin(lam/2))^(2g'-2), known up to lam^lam_trunc."""
-    if g_prime == 1:
-        return LaurentSeries.one("lambda", lam_trunc)
-    if g_prime == 0:
-        return _cover_kernel(2, lam_trunc + 4).invert()
-    k = g_prime - 1
-    if 2 * k > lam_trunc:  # K_{g'} = O(lam^(2k)): nothing on the window
-        return LaurentSeries.zero("lambda", lam_trunc)
-    # Times m!, the recurrence of the module docstring runs on the integers
-    # e_m = m! [lam^m] K_{g'}: e_m = 2k(2k-1) e'_{m-2} - k^2 e_{m-2}, with e'
-    # those of K_{g'-1}, so each coefficient is one Fraction(e_m, m!)
-    # Warmed from below every _CHAIN_STEP genera, the chain to K_{g'-1} never
-    # recurses deeper than _CHAIN_STEP, whatever g'.
-    for gp in range(_CHAIN_STEP, k, _CHAIN_STEP):
-        _cover_kernel(gp, lam_trunc)
-    prev = _cover_kernel(k, lam_trunc)
-    lo = 2 * k
-    cs = [Fraction(0)] * (lam_trunc - lo + 1)
-    e, fact = 0, factorial(2 * k - 2)  # fact = (m-2)!
-    for m in range(2 * k, lam_trunc + 1, 2):
-        p = prev.coefficient(m - 2)
-        e = 2 * k * (2 * k - 1) * p.numerator * (fact // p.denominator) \
-            - k * k * e
-        fact *= (m - 1) * m
-        cs[m - lo] = Fraction(e, fact)
-    return LaurentSeries("lambda", lo, cs, lam_trunc)
-
-
-def _basis(g_out: int) -> list[tuple[list[int], int]]:
+@lru_cache(maxsize=1)
+def _cover_kernel(g_out: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Rows g <= g_out of M: M[g][g'] = [lam^(2g-2)] K_{g'} for g' <= g, each
     as (numerators, den) from :func:`~curvecount.series._numerators`."""
-    kernels = [_cover_kernel(gp, 2 * g_out - 2) for gp in range(g_out + 1)]
-    return [_numerators([k.coefficient(2 * g - 2) for k in kernels[:g + 1]])
-            for g in range(g_out + 1)]
+    # K_0 = K_2^(-1) on [lam^-2, lam^(2g_out-2)] from K_2 = 2 - 2cos lam
+    top = 2 * g_out + 2
+    k2 = LaurentSeries("lambda", 2, [
+        Fraction(2 * (-1) ** (m // 2 + 1), factorial(m)) if m % 2 == 0 else 0
+        for m in range(2, top + 1)], top)
+    k0 = k2.invert()
+    # Column g' >= 1 as e_j = (2j)! [lam^(2j)] K_{g'}, j < g_out: K_1 = 1, and
+    # the recurrence of the module docstring times m! = (2j)! steps K_{k+1}
+    # from K_k on the integers, e_j = 2k(2k-1) e'_{j-1} - k^2 e_{j-1}
+    cols = [[1] + [0] * (g_out - 1)]
+    for k in range(1, g_out):
+        a, b = 2 * k * (2 * k - 1), k * k
+        new = [0] * k  # K_{k+1} = O(lam^(2k))
+        for p in cols[-1][k - 1:g_out - 1]:
+            new.append(a * p - b * new[-1])
+        cols.append(new)
+    rows = []
+    for g in range(g_out + 1):
+        fact = factorial(max(2 * g - 2, 0))
+        nums, den = _numerators([k0.coefficient(2 * g - 2)] + [
+            Fraction(col[g - 1], fact) for col in cols[:g]])
+        rows.append((tuple(nums), den))
+    return tuple(rows)
 
 
-def _dot(row: tuple[list[int], int], ns: list[int]) -> int:
-    """Numerator over den * nden of a _basis row (cs, den) times (ns, nden)."""
+def _dot(row: tuple[tuple[int, ...], int], ns: list[int]) -> int:
+    """Numerator over den * nden of a matrix row (cs, den) times (ns, nden)."""
     return sum(map(mul, row[0], ns))
 
 
@@ -122,13 +112,14 @@ def _require_window(table, g_out: int, d_out: int) -> None:
         raise TruncationError(
             f"requested ({g_out},{d_out}) exceeds the input window "
             f"g<={table.g_max}, d<={table.d_max}")
+    _at_least(g_max=(g_out, 0), d_max=(d_out, 1))
 
 
 def gv_to_gw(gv: GvTable, g_out: int, d_out: int) -> GwTable:
     """GW table on g <= g_out, d <= d_out: v_{d'} = M n_{., d'}, then
     N_{g,d} = sum_{r | d} r^(2g-3) v_{d/r}[g]."""
     _require_window(gv, g_out, d_out)
-    m = _basis(g_out)
+    m = _cover_kernel(g_out)
     v, out = {}, {}
     for d in range(1, d_out + 1):
         ns, nden = _numerators([gv.entries.get((gp, d), 0)
@@ -144,7 +135,7 @@ def gw_to_gv(gw: GwTable, g_out: int, d_out: int) -> GvTable:
     covers of lower degrees, then M n_{., d} = v_d (M[g][g] = 1) by forward
     substitution on integer numerators over one denominator, grown to lcms."""
     _require_window(gw, g_out, d_out)
-    m = _basis(g_out)
+    m = _cover_kernel(g_out)
     v, out = {}, {}
     for d in range(1, d_out + 1):
         nums, nden, v[d] = [], 1, []  # n_{g' < g} = nums[g'] / nden
@@ -178,27 +169,19 @@ def _pt_block_terms(gv: GvTable, d: int, n_min: int, n_max: int
             val = gv.entries.get((gp, dp))
             if not val:
                 continue
-            sign = 1 if (gp - 1) % 2 == 0 else -1
-            pref = val * Fraction(sign, r)
-            lead = r * (1 - gp) if gp >= 1 else r
+            pref = val * Fraction(1 if gp % 2 else -1, r)
+            lead = r * (1 - gp)
             if lead < n_min:
                 raise WindowError(
                     f"q-window [{n_min},{n_max}] clips the leading exponent "
                     f"{lead} of the (g={gp}, d'={dp}, r={r}) contribution")
-            if gp == 0:
-                # u^r/(1-u^r)^2 = sum_{m>=1} m u^(rm)
-                m = 1
-                while r * m <= n_max:
-                    terms[r * m] = terms.get(r * m, Fraction(0)) + pref * m
-                    m += 1
-            else:
-                # u^(r(1-g)) (1-u^r)^(2g-2), a Laurent polynomial
-                for j in range(2 * gp - 1):
-                    e = r * (1 - gp) + r * j
-                    if e > n_max:
-                        break
-                    c = pref * comb(2 * gp - 2, j) * (-1) ** j
-                    terms[e] = terms.get(e, Fraction(0)) + c
+            # u^(r(1-g)) (1-u^r)^(2g-2) = sum_j b_j u^(r(1-g)+rj) with
+            # b_j = (-1)^j C(2g-2, j): zero past j = 2g-2 for g >= 1, and
+            # j+1 at g = 0, where it is u^r/(1-u^r)^2
+            b, j = 1, 0
+            while b and (e := lead + r * j) <= n_max:
+                terms[e] = terms.get(e, 0) + pref * b
+                b, j = b * (j + 2 - 2 * gp) // (j + 1), j + 1
     return terms
 
 
@@ -229,24 +212,33 @@ def gv_to_pt_connected(gv: GvTable, d_out: int,
     return BivariateSeries(layers)
 
 
+def _pt_layers(pt: PtTable) -> list[LaurentSeries]:
+    """The t^1..t^{d_max} q-layers of a PT table, known to its window top."""
+    terms: list[dict[int, Fraction]] = [{} for _ in range(pt.d_max)]
+    for (n, d), v in pt.entries.items():
+        terms[d - 1][n] = v
+    return [LaurentSeries.from_dict("q", t, pt.q_window[1]) for t in terms]
+
+
+def _layers_to_table(layers: list[LaurentSeries], n_min: int) -> PtTable:
+    """The t^1.. layers as a PT table on their common window
+    [min(n_min, T), T], T the lowest trunc; entries above T are dropped."""
+    n_max = min(b.trunc_order for b in layers)
+    return PtTable({(e, d): c for d, layer in enumerate(layers, start=1)
+                    for e, c in layer.terms() if e <= n_max},
+                   len(layers), (min(n_min, n_max), n_max))
+
+
 def pt_connected_to_table(F: BivariateSeries) -> PtTable:
     """Exponentiate a connected series and read the layers into a table.
 
     The table gets the tightest single window every layer justifies, so
     coefficients a narrow layer cannot vouch for are dropped.
     """
-    series = F.exp()
-    blocks = series.per_degree[1:]
+    blocks = F.exp().per_degree[1:]
     if not blocks:
         raise ValueError("need at least one positive t-degree")
-    n_max = min(b.trunc_order for b in blocks)
-    n_min = min(min((b.min_exp for b in blocks), default=n_max), n_max)
-    entries: dict[tuple[int, int], Fraction] = {}
-    for d, block in enumerate(blocks, start=1):
-        for e, c in block.terms():
-            if e <= n_max:
-                entries[(e, d)] = c
-    return PtTable(entries, len(blocks), (n_min, n_max))
+    return _layers_to_table(blocks, min(b.min_exp for b in blocks))
 
 
 def pt_table_to_connected(pt: PtTable) -> BivariateSeries:
@@ -256,12 +248,8 @@ def pt_table_to_connected(pt: PtTable) -> BivariateSeries:
     The degree-0 layer is exactly 1, so its window reaches q^0 even when the
     table's ends below it.
     """
-    n_max = pt.q_window[1]
-    layers = [LaurentSeries.one("q", max(n_max, 0))]
-    for d in range(1, pt.d_max + 1):
-        terms = {n: v for (n, dd), v in pt.entries.items() if dd == d}
-        layers.append(LaurentSeries.from_dict("q", terms, n_max))
-    return BivariateSeries(layers).log()
+    one = LaurentSeries.one("q", max(pt.q_window[1], 0))
+    return BivariateSeries([one] + _pt_layers(pt)).log()
 
 
 def pt_to_dt(pt: PtTable, dt0: LaurentSeries) -> PtTable:
@@ -276,17 +264,8 @@ def pt_to_dt(pt: PtTable, dt0: LaurentSeries) -> PtTable:
         raise ValueError("dt0 must have no negative exponents")
     if dt0.coefficient(0) != 1:
         raise ValueError("dt0 must have constant term 1")
-    n_min, n_max = pt.q_window
-    out: dict[tuple[int, int], Fraction] = {}
-    out_max = n_max
-    for d in range(1, pt.d_max + 1):
-        terms = {n: v for (n, dd), v in pt.entries.items() if dd == d}
-        prod = LaurentSeries.from_dict("q", terms, n_max) * dt0
-        out_max = min(out_max, prod.trunc_order)
-        for e, c in prod.terms():
-            out[(e, d)] = c
-    entries = {k: v for k, v in out.items() if k[0] <= out_max}
-    return PtTable(entries, pt.d_max, (n_min, out_max))
+    return _layers_to_table([layer * dt0 for layer in _pt_layers(pt)],
+                            pt.q_window[0])
 
 
 def apply_castelnuovo_vanishing(table):

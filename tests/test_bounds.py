@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 
 import pytest
 
@@ -47,6 +47,14 @@ def test_threshold_floor_decides_both_vanishing_laws():
             assert (a < 1 - top) == (a < 1 - b) == PtTable.forbids(a, d)
     with pytest.raises(ValueError):
         bps_threshold_floor(0)
+
+
+def test_threshold_floor_is_the_floor_of_the_threshold():
+    for d in range(1, 10 ** 4 + 1):
+        assert bps_threshold_floor(d) == floor(bps_threshold(d)), d
+    for d in (0, -1, -10):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            bps_threshold_floor(d)
 
 
 def test_general_bound():

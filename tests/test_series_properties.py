@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 
@@ -35,7 +35,7 @@ from curvecount.series import (  # noqa: E402
     series_invert,
     series_reversion,
 )
-from curvecount.transforms import _basis, _cover_kernel, _dot  # noqa: E402
+from curvecount.transforms import _cover_kernel, _dot  # noqa: E402
 
 settings = hypothesis.settings(max_examples=40, deadline=None)
 values = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -302,13 +302,21 @@ def test_compose_matches_the_fraction_loop(args):
 
 
 def fraction_rows(g_out: int) -> list[list[Fraction]]:
-    kernels = [_cover_kernel(gp, 2 * g_out - 2) for gp in range(g_out + 1)]
+    """M[g][g'] for g' <= g <= g_out as Fractions, from K_{g'} = K_2^(g'-1)
+    by LaurentSeries powers of K_2 = 2 - 2cos lam (K_0 = K_2^(-1)), not from
+    the integer loop under test."""
+    lam_trunc = 2 * g_out + 2
+    k2 = LaurentSeries("lambda", 2, [
+        Fraction(2 * (-1) ** (m // 2 + 1), factorial(m)) if m % 2 == 0 else 0
+        for m in range(2, lam_trunc + 1)], lam_trunc)
+    kernels = [k2 ** (gp - 1) for gp in range(g_out + 1)]
     return [[k.coefficient(2 * g - 2) for k in kernels[:g + 1]]
             for g in range(g_out + 1)]
 
 
 def test_basis_rows_are_numerators_over_the_row_lcm():
-    for (cs, den), row in zip(_basis(12), fraction_rows(12), strict=True):
+    rows = zip(_cover_kernel(12), fraction_rows(12), strict=True)
+    for (cs, den), row in rows:
         assert den == lcm(*(c.denominator for c in row))
         assert [Fraction(c, den) for c in cs] == row
 
@@ -318,7 +326,7 @@ def test_basis_rows_are_numerators_over_the_row_lcm():
     st.one_of(mixed_values, st.integers(-10 ** 6, 10 ** 6)), max_size=14))
 def test_dot_matches_the_fraction_sum(g, xs):
     row = fraction_rows(12)[g]
-    (cs, den), (ns, nden) = _basis(12)[g], _numerators(xs)
+    (cs, den), (ns, nden) = _cover_kernel(12)[g], _numerators(xs)
     dot = _dot((cs, den), ns)
     assert type(dot) is int
     assert Fraction(dot, den * nden) == sum((c * x for c, x in zip(row, xs)),

@@ -22,9 +22,9 @@ from curvecount.bounds import bps_threshold  # noqa: E402
 from curvecount.series import BivariateSeries, LaurentSeries  # noqa: E402
 from curvecount.tables import GvTable, GwTable, PtTable  # noqa: E402
 from curvecount.transforms import (  # noqa: E402
-    _cover_kernel,
     _covers,
     gv_to_gw,
+    gv_to_pt_connected,
     gw_to_gv,
     pt_connected_to_table,
     pt_table_to_connected,
@@ -107,8 +107,14 @@ def test_covers_matches_the_fraction_sum(rows):
 
 
 def fraction_rows(g_out: int) -> list[list[Fraction]]:
-    """M[g][g'] for g' <= g <= g_out as Fractions."""
-    kernels = [_cover_kernel(gp, 2 * g_out - 2) for gp in range(g_out + 1)]
+    """M[g][g'] for g' <= g <= g_out as Fractions, from K_{g'} = K_2^(g'-1)
+    by LaurentSeries powers of K_2 = 2 - 2cos lam (K_0 = K_2^(-1)), not from
+    the integer loop under test."""
+    lam_trunc = 2 * g_out + 2
+    k2 = LaurentSeries("lambda", 2, [
+        Fraction(2 * (-1) ** (m // 2 + 1), math.factorial(m))
+        if m % 2 == 0 else 0 for m in range(2, lam_trunc + 1)], lam_trunc)
+    kernels = [k2 ** (gp - 1) for gp in range(g_out + 1)]
     return [[k.coefficient(2 * g - 2) for k in kernels[:g + 1]]
             for g in range(g_out + 1)]
 
@@ -174,6 +180,48 @@ def test_gw_to_gv_matches_the_fraction_loop(window, data):
         Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))),
         g_max, d_max)
     assert gw_to_gv(gw, g_out, d_out) == reference_gw_to_gv(gw, g_out, d_out)
+
+
+@st.composite
+def small_gv_tables(draw) -> GvTable:
+    """Rational GV data on any cell of a window g <= 4, d <= 4."""
+    g_max, d_max = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    return GvTable(cell_values(draw, g_max, d_max, st.fractions(
+        min_value=-50, max_value=50, max_denominator=6)), g_max, d_max)
+
+
+def reference_pt_layer(gv: GvTable, d: int, n_max: int) -> dict:
+    """q-exponent -> coefficient of the t^d connected layer up to q^n_max:
+    sum n_g^{d'} ((-1)^(g-1)/r) u^(r(1-g)) (1-u^r)^(2g-2) over r d' = d, the
+    power by LaurentSeries, then u = -q."""
+    out: dict[int, Fraction] = {}
+    for r in (r for r in range(1, d + 1) if d % r == 0):
+        for (g, dp), n in gv.entries.items():
+            lead = r * (1 - g)
+            if dp != d // r or lead > n_max:
+                continue
+            one_minus = LaurentSeries.from_dict("u", {0: 1, r: -1},
+                                                n_max - lead)
+            kernel = one_minus ** (2 * g - 2)
+            for j, c in kernel.terms():
+                e, x = lead + j, n * Fraction((-1) ** (g + 1), r) * c
+                out[e] = out.get(e, Fraction(0)) + (-x if e % 2 else x)
+    return out
+
+
+@settings
+@hypothesis.given(small_gv_tables(), st.integers(-16, -12),
+                  st.integers(-12, 16))
+def test_gv_to_pt_connected_matches_the_expanded_kernels(gv, n_min, n_max):
+    """Every coefficient of every connected layer; the q-window starts at or
+    below every leading exponent r(1-g) >= -12."""
+    F = gv_to_pt_connected(gv, gv.d_max, (n_min, n_max))
+    assert F.t_trunc == gv.d_max and F.per_degree[0].is_zero
+    for d in range(1, gv.d_max + 1):
+        layer, want = F.per_degree[d], reference_pt_layer(gv, d, n_max)
+        assert layer.trunc_order == n_max
+        for e in range(n_min, n_max + 1):
+            assert layer.coefficient(e) == want.get(e, 0), (d, e)
 
 
 @st.composite

@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 from curvecount.bounds import bps_threshold, extremal_gv
-from curvecount.series import BivariateSeries, LaurentSeries, WindowError
+from curvecount.series import (BivariateSeries, LaurentSeries, WindowError,
+                               _numerators)
 from curvecount.tables import GvTable, GwTable, PtTable, TruncationError
 from curvecount.transforms import (
     _cover_kernel,
@@ -80,14 +81,18 @@ def test_kernel_subleading_coefficient():
         assert gw.value(g + 1, 7) == F(-5 * (g - 1), 12)
 
 
-def direct_kernel(r: int, g_prime: int, lam_trunc: int) -> LaurentSeries:
-    """(2 - 2cos(r lam))^(g'-1) by repeated multiplication of the r-scaled base."""
-    base_trunc = lam_trunc + (4 if g_prime == 0 else 0)
-    coeffs = [F(0)] * (base_trunc + 1)
-    for j in range(1, base_trunc // 2 + 1):
+def two_minus_two_cos(r: int, lam_trunc: int) -> LaurentSeries:
+    """2 - 2cos(r lam) = sum_{j>=1} 2 (-1)^(j+1) (r lam)^(2j) / (2j)!."""
+    coeffs = [F(0)] * (lam_trunc + 1)
+    for j in range(1, lam_trunc // 2 + 1):
         coeffs[2 * j] = F(2 * (-1) ** (j + 1) * r ** (2 * j),
                           math.factorial(2 * j))
-    base = LaurentSeries("lambda", 0, coeffs, base_trunc)
+    return LaurentSeries("lambda", 0, coeffs, lam_trunc)
+
+
+def direct_kernel(r: int, g_prime: int, lam_trunc: int) -> LaurentSeries:
+    """(2 - 2cos(r lam))^(g'-1) by repeated multiplication of the r-scaled base."""
+    base = two_minus_two_cos(r, lam_trunc + (4 if g_prime == 0 else 0))
     if g_prime == 0:
         return base.invert()
     kernel = LaurentSeries.one("lambda", lam_trunc)
@@ -96,76 +101,106 @@ def direct_kernel(r: int, g_prime: int, lam_trunc: int) -> LaurentSeries:
     return kernel
 
 
+def power_kernels(g_out: int) -> list[LaurentSeries]:
+    """K_0 = K_2^(-1) and K_{g'} = K_2^(g'-1) for g' <= g_out by
+    LaurentSeries powers, each known up to lam^(2 g_out - 2)."""
+    lam_trunc = 2 * g_out - 2
+    k2 = two_minus_two_cos(1, lam_trunc + 4)
+    return [k2 ** -1] + [(k2 ** (gp - 1)).truncate(lam_trunc)
+                         for gp in range(1, g_out + 1)]
+
+
+def cell(m, g: int, g_prime: int) -> F:
+    """M[g][g'] of the _cover_kernel rows m; zero above the diagonal."""
+    nums, den = m[g]
+    return F(nums[g_prime], den) if g_prime <= g else F(0)
+
+
 def test_cover_kernel_rescales_to_every_cover():
-    # [lam^(2g-2)] (2 sin(r lam/2))^(2g'-2) = r^(2g-2) [lam^(2g-2)] K_{g'}
-    _cover_kernel.cache_clear()
-    for lam_trunc in (18, 25):
+    # [lam^(2g-2)] (2 sin(r lam/2))^(2g'-2) = r^(2g-2) M[g][g']
+    for g_out in (10, 13):
+        m = _cover_kernel(g_out)
+        assert len(m) == g_out + 1
         for g_prime in range(0, 11):
-            kernel = _cover_kernel(g_prime, lam_trunc)
-            assert kernel.trunc_order >= lam_trunc
             for r in range(1, 6):
-                want = direct_kernel(r, g_prime, lam_trunc)
-                for g in range(0, lam_trunc // 2 + 2):
+                want = direct_kernel(r, g_prime, 2 * g_out - 2)
+                for g in range(0, g_out + 1):
                     e = 2 * g - 2
                     assert want.coefficient(e) == \
-                        F(r) ** e * kernel.coefficient(e), \
-                        (r, g_prime, lam_trunc, g)
+                        F(r) ** e * cell(m, g, g_prime), (r, g_prime, g_out, g)
 
 
 def test_cover_kernel_matches_sympy_series():
-    """The ODE kernels against sympy's expansion, the Laurent g' = 0 too."""
+    """The integer-loop matrix against sympy's expansion, the Laurent g' = 0
+    column too."""
     sympy = pytest.importorskip("sympy")
     lam = sympy.Symbol("lambda")
-    lam_trunc = 20
-    for g_prime in range(0, 11):
+    g_out = 11
+    m = _cover_kernel(g_out)
+    for g_prime in range(0, g_out + 1):
         want = sympy.series((2 * sympy.sin(lam / 2)) ** (2 * g_prime - 2),
-                            lam, 0, lam_trunc + 1).removeO()
-        kernel = _cover_kernel(g_prime, lam_trunc)
-        assert kernel.trunc_order == lam_trunc
-        for e in range(-2, lam_trunc + 1):
-            c = want.coeff(lam, e)
-            assert kernel.coefficient(e) == F(int(c.p), int(c.q)), \
-                (g_prime, e)
+                            lam, 0, 2 * g_out - 1).removeO()
+        for g in range(0, g_out + 1):
+            c = want.coeff(lam, 2 * g - 2)
+            assert cell(m, g, g_prime) == F(int(c.p), int(c.q)), (g_prime, g)
 
 
 def test_cover_kernel_is_the_power_of_k2_at_the_paper_genus():
-    # K_{g'} = K_2^(g'-1), the power from Miller's recurrence; K_0 K_2 = 1
-    lam_trunc = 104
-    k2 = _cover_kernel(2, lam_trunc)
-    for g_prime in range(1, 54):
-        want = (k2 ** (g_prime - 1)).truncate(lam_trunc)
-        assert _cover_kernel(g_prime, lam_trunc) == want, g_prime
-    assert _cover_kernel(0, lam_trunc) * k2 == \
-        LaurentSeries.one("lambda", lam_trunc - 2)
+    # M[g][g'] = [lam^(2g-2)] K_2^(g'-1), the power from Miller's recurrence;
+    # the g' = 0 column is K_0 with K_0 K_2 = 1
+    g_out = 53
+    m = _cover_kernel(g_out)
+    k2 = two_minus_two_cos(1, 2 * g_out + 2)
+    for g_prime in range(1, g_out + 1):
+        want = k2 ** (g_prime - 1)
+        for g in range(g_out + 1):
+            assert cell(m, g, g_prime) == want.coefficient(2 * g - 2), \
+                (g, g_prime)
+    k0 = LaurentSeries.from_dict("lambda", {2 * g - 2: cell(m, g, 0)
+                                            for g in range(g_out + 1)},
+                                 2 * g_out - 2)
+    assert k0 * k2 == LaurentSeries.one("lambda", 2 * g_out)
 
 
 def test_cover_kernel_builds_a_deep_genus_on_a_cold_cache():
-    # K_200 up to lam^398 needs all its 198 predecessors on non-empty
-    # windows; the warmed chain recurses through at most _CHAIN_STEP = 64 of
-    # them, so 150 frames above the caller's are enough (198 are not)
+    # one loop, no recursion: 50 frames above the caller's are enough for
+    # the 201 rows of g_out = 200
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
     _cover_kernel.cache_clear()
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 150)
+    sys.setrecursionlimit(depth + 50)
     try:
-        kernel = _cover_kernel(200, 398)
+        m = _cover_kernel(200)
     finally:
         sys.setrecursionlimit(limit)
-    assert kernel == LaurentSeries.monomial("lambda", 398, 1, 398)
+    assert len(m) == 201 and cell(m, 200, 200) == 1
+    m = _cover_kernel(151)
+    want = two_minus_two_cos(1, 300) ** 149
+    for g in range(152):
+        assert cell(m, g, 150) == want.coefficient(2 * g - 2), g
+
+
+def test_cover_kernel_rows_are_the_power_kernels_numerators():
+    # row g is _numerators of the reference cells M[g][0..g], as tuples,
+    # whatever the g_out >= g it was built for
+    kernels, rows = power_kernels(60), []
+    for g in range(61):
+        nums, den = _numerators([k.coefficient(2 * g - 2)
+                                 for k in kernels[:g + 1]])
+        rows.append((tuple(nums), den))
+    for g_out in range(61):
+        assert _cover_kernel(g_out) == tuple(rows[:g_out + 1]), g_out
+
+
+def test_cover_kernel_is_built_once_per_g_out():
+    # gv_to_gw misses, gw_to_gv at the same g_out hits, one matrix is held
+    gv = GvTable({(0, 1): F(2875), (1, 3): F(609250)}, 6, 3)
     _cover_kernel.cache_clear()
-    k2 = _cover_kernel(2, 300)
-    assert _cover_kernel(150, 300) == (k2 ** 149).truncate(300)
-
-
-def test_cover_kernel_returns_early_on_an_empty_window():
-    # 2(g'-1) > lam_trunc: K_{g'} = O(lam^(2g'-2)) has no coefficient on the
-    # window, so no predecessor is built
-    before = _cover_kernel.cache_info().currsize
-    assert _cover_kernel(5000, 4) == LaurentSeries("lambda", 5, [], 4)
-    assert _cover_kernel(4, 5) == LaurentSeries.zero("lambda", 5)
-    assert _cover_kernel.cache_info().currsize - before <= 2
+    gw_to_gv(gv_to_gw(gv, 6, 3), 6, 3)
+    info = _cover_kernel.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def reference_gv_to_gw(gv: GvTable, g_out: int, d_out: int) -> dict:
