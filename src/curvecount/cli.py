@@ -19,6 +19,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import bcov as bcov_mod
@@ -157,6 +158,7 @@ def _reject_unread(args, label: str) -> None:
             raise _UsageError(f"{label} does not read --{name.replace('_', '-')}")
 
 
+@cache  # built on first use, once per process: parsing leaves it unchanged
 def build_parser() -> _Parser:
     p = _Parser(prog="curvecount", description=__doc__.splitlines()[0])
     p.add_argument("--config", help="key = value defaults file (flags win)")

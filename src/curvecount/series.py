@@ -13,12 +13,13 @@ so windows shrink when negative exponents convolve.  Every power, f ** -1
 included, comes from one recurrence.
 
 Coefficients are :class:`~fractions.Fraction` values, and that stays the
-public type, but the exact hot loops (the product, the power recurrence and
-composition) do not normalize a Fraction after every step: they bring their
-inputs to integer numerators over one common denominator
+public type, but the exact hot loops (the product, the power recurrence,
+composition, and log/exp) do not normalize a Fraction after every step: they
+bring their inputs to integer numerators over one common denominator
 (:func:`_numerators`), run on Python integers and build one Fraction per
 output value.  Composition f(m) is one Horner pass on those numerators over
-one running denominator, each step truncated by the valuation of m.
+one running denominator, each step truncated by the valuation of m.  log and
+exp run on t-layers; a Laurent series enters as its constant layers.
 
 A :class:`BivariateSeries` is a finite t-graded stack of Laurent series in
 one secondary variable (the degree-0 layer of a generating series is treated
@@ -280,9 +281,7 @@ class LaurentSeries:
         """log(f) for f with constant term 1; result has valuation >= 1."""
         if self.is_zero or self.min_exp != 0 or self.coeffs[0] != 1:
             raise ValueError("series_log requires constant term 1")
-        T = self.trunc_order
-        g = _log_terms([self.coefficient(e) for e in range(0, T + 1)])
-        return LaurentSeries(self.variable, 0, [0] + g, T)
+        return self._by_layers(BivariateSeries.log)
 
     def exp(self) -> LaurentSeries:
         """exp(f) for f with zero constant term (valuation >= 1)."""
@@ -290,9 +289,17 @@ class LaurentSeries:
             raise WindowError("exp needs the window to reach exponent 0")
         if self.min_exp < 1 and not self.is_zero:
             raise ValueError("series_exp requires zero constant term")
-        T = self.trunc_order
-        g = _exp_terms([self.coefficient(e) for e in range(0, T + 1)])
-        return LaurentSeries(self.variable, 0, [1] + g, T)
+        return self._by_layers(BivariateSeries.exp)
+
+    def _by_layers(self, op) -> LaurentSeries:
+        """log or exp (op) of this series as op of the bivariate series
+        whose t^e layer is the constant c_e, known on [0, 0]."""
+        layers = op(BivariateSeries([
+            LaurentSeries(self.variable, 0, [self.coefficient(e)], 0)
+            for e in range(self.trunc_order + 1)])).per_degree
+        return LaurentSeries(self.variable, 0,
+                             [p.coefficient(0) for p in layers],
+                             self.trunc_order)
 
     # -- serialization -------------------------------------------------
 
@@ -359,33 +366,44 @@ def _unit_power(u: Sequence[Fraction], alpha: int, count: int) -> list:
     return p
 
 
-def _log_terms(f: list) -> list:
-    """[g_1, ..., g_T] for g = log f, taking f_0 = 1 exactly (f[0] unread).
+def _exp_log_terms(f: Sequence[LaurentSeries], sign: int
+                   ) -> list[LaurentSeries]:
+    """[g_1, ..., g_N] for g = exp f (sign 1, g_0 = 1) or log f (sign -1,
+    f_0 = 1; f[0] is unread) on t-layers f_n: g_n = f_n + sign
+    sum_{0<k<n} (k/n) a_k b_{n-k} with (a, b) = (f, g) for exp, (g, f) for log.
 
-    f g' = f' gives g_n = f_n - sum_{0<k<n} (g_k f_{n-k}) k/n.  A term is a
-    Fraction or a t-layer (LaurentSeries) of a bivariate series.
+    g_n gets the window of the LaurentSeries sum of those products, leading
+    zeros trimmed.  Each layer is A / D once (:func:`_numerators`); over
+    L = lcm(D_{f_n}, D_{a_k} D_{b_{n-k}}) the sum runs on integers,
+    n L g_n = n L f_n + sign sum_k k (L / (D_{a_k} D_{b_{n-k}})) A_k B_{n-k},
+    with one Fraction per output coefficient.
     """
-    g = [None]
-    for n in range(1, len(f)):
-        acc = f[n]
-        for k in range(1, n):
-            acc = acc - Fraction(k, n) * (g[k] * f[n - k])
-        g.append(acc)
-    return g[1:]
-
-
-def _exp_terms(f: list) -> list:
-    """[g_1, ..., g_T] for g = exp f, taking g_0 = 1 exactly (f[0] unread).
-
-    g' = f' g gives g_n = f_n + sum_{0<k<n} (f_k g_{n-k}) k/n.
-    """
-    g = [None]
-    for n in range(1, len(f)):
-        acc = f[n]
-        for k in range(1, n):
-            acc = acc + Fraction(k, n) * (f[k] * g[n - k])
-        g.append(acc)
-    return g[1:]
+    fs = [None] + [(p.min_exp, p.trunc_order, *_numerators(p.coeffs))
+                   for p in f[1:]]
+    gs, out = [None], []
+    for n in range(1, len(fs)):
+        pairs = [(fs[k], gs[n - k]) if sign > 0 else (gs[k], fs[n - k])
+                 for k in range(1, n)]
+        m, trunc, nums, den = fs[n]
+        lo = m
+        for (ma, ta, _, _), (mb, tb, _, _) in pairs:
+            trunc = min(trunc, ta + mb, tb + ma)
+            lo = min(lo, ma + mb)  # <= trunc + 1: no bound is below its lo - 1
+        common = lcm(den, *[da * db for (*_, da), (*_, db) in pairs])
+        acc, scale = [0] * (trunc + 1 - lo), n * (common // den)
+        acc[m - lo:] = [scale * x for x in nums[:max(trunc + 1 - m, 0)]]
+        for k, ((ma, _, a, da), (mb, _, b, db)) in enumerate(pairs, 1):
+            w = trunc + 1 - ma - mb  # coefficients of a_k b_{n-k} in the window
+            scale = sign * k * (common // (da * db))
+            rb = b[:w][::-1]
+            for e in range(w):
+                acc[ma + mb - lo + e] += \
+                    scale * sum(map(mul, a[:e + 1], rb[w - 1 - e:]))
+        first = next((i for i, x in enumerate(acc) if x), len(acc))
+        cs = [Fraction(x, n * common) for x in acc[first:]]
+        out.append(LaurentSeries(f[0].variable, lo + first, cs, trunc))
+        gs.append((lo + first, trunc, *_numerators(cs)))
+    return out
 
 
 def _compose_power_series(f: LaurentSeries, m: LaurentSeries) -> LaurentSeries:
@@ -475,7 +493,7 @@ class BivariateSeries:
                 c for c in p0.coeffs[1:]):
             raise ValueError("bivariate log requires degree-0 layer == 1")
         zero = LaurentSeries.zero(self.variable, p0.trunc_order)
-        return BivariateSeries([zero] + _log_terms(self.per_degree))
+        return BivariateSeries([zero] + _exp_log_terms(self.per_degree, -1))
 
     def exp(self) -> BivariateSeries:
         """exp of a connected series (degree-0 layer zero)."""
@@ -485,7 +503,7 @@ class BivariateSeries:
         if f0.trunc_order < 0:
             raise WindowError("degree-0 window must reach exponent 0")
         one = LaurentSeries.one(self.variable, f0.trunc_order)
-        return BivariateSeries([one] + _exp_terms(self.per_degree))
+        return BivariateSeries([one] + _exp_log_terms(self.per_degree, 1))
 
 
 # -- spec-facing operation names --------------------------------------

@@ -29,7 +29,9 @@ The stable-pair side expands the same table in u := -q:
     t^d layer of log PT = sum n_g^{d'} ((-1)^(g-1)/r) u^(r(1-g)) (1-u^r)^(2g-2)
 
 (for g = 0 the kernel is the infinite series sum_m m u^(rm)); one loop over
-the binomial coefficients of (1-u^r)^(2g-2) covers every g.  All internal
+the binomial coefficients of (1-u^r)^(2g-2) covers every g.  The block terms
+run on integers: each t^d layer sums numerators over one denominator, the lcm
+of r den(n_g^{d'}), and builds one Fraction per exponent.  All internal
 bookkeeping stays in u; signs convert to q-coefficients in exactly one place.
 """
 
@@ -159,8 +161,9 @@ def integrality_check(gv: GvTable) -> list[tuple[tuple[int, int], Fraction]]:
 
 def _pt_block_terms(gv: GvTable, d: int, n_min: int, n_max: int
                     ) -> dict[int, Fraction]:
-    """u-exponent -> coefficient of the t^d layer of the connected series."""
-    terms: dict[int, Fraction] = {}
+    """u-exponent -> coefficient of the t^d layer of the connected series,
+    each a sum of numerators over den = lcm(r den(n)) of the contributions."""
+    parts = []
     for r in range(1, d + 1):
         if d % r:
             continue
@@ -169,20 +172,25 @@ def _pt_block_terms(gv: GvTable, d: int, n_min: int, n_max: int
             val = gv.entries.get((gp, dp))
             if not val:
                 continue
-            pref = val * Fraction(1 if gp % 2 else -1, r)
             lead = r * (1 - gp)
             if lead < n_min:
                 raise WindowError(
                     f"q-window [{n_min},{n_max}] clips the leading exponent "
                     f"{lead} of the (g={gp}, d'={dp}, r={r}) contribution")
-            # u^(r(1-g)) (1-u^r)^(2g-2) = sum_j b_j u^(r(1-g)+rj) with
-            # b_j = (-1)^j C(2g-2, j): zero past j = 2g-2 for g >= 1, and
-            # j+1 at g = 0, where it is u^r/(1-u^r)^2
-            b, j = 1, 0
-            while b and (e := lead + r * j) <= n_max:
-                terms[e] = terms.get(e, 0) + pref * b
-                b, j = b * (j + 2 - 2 * gp) // (j + 1), j + 1
-    return terms
+            parts.append((r, gp, lead, val))
+    den = lcm(*[r * val.denominator for r, _, _, val in parts])
+    terms: dict[int, int] = {}
+    for r, gp, lead, val in parts:
+        pref = (val.numerator if gp % 2 else -val.numerator) * (
+            den // (r * val.denominator))
+        # u^(r(1-g)) (1-u^r)^(2g-2) = sum_j b_j u^(r(1-g)+rj) with
+        # b_j = (-1)^j C(2g-2, j): zero past j = 2g-2 for g >= 1, and
+        # j+1 at g = 0, where it is u^r/(1-u^r)^2
+        b, j = 1, 0
+        while b and (e := lead + r * j) <= n_max:
+            terms[e] = terms.get(e, 0) + pref * b
+            b, j = b * (j + 2 - 2 * gp) // (j + 1), j + 1
+    return {e: Fraction(x, den) for e, x in terms.items()}
 
 
 def _u_terms_to_q_series(terms: dict[int, Fraction],

@@ -633,3 +633,47 @@ def test_an_unread_config_key_is_a_usage_error(tmp_path, capsys, line, label,
     assert main(["--config", cfg] + argv) == 1
     assert capsys.readouterr().err == f"error: {label} does not read {option}\n"
     assert not out.exists()
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    """main() builds its parser on the first call only; calls that mix
+    subcommands, a --config run and usage errors give the exit codes,
+    streams and files that a parser built afresh for each call gives."""
+    src = write(tmp_path / "gv.csv", "g,d,value\n0,1,2875\n1,2,1/7\n")
+    cfg = write(tmp_path / "cc.conf", "gmax = 1\ndmax = 2\n")
+
+    def session(out, fresh):
+        out.mkdir()
+        runs = [
+            ["transform", "gv2gw", "--in", src, "--out", str(out / "gw.csv"),
+             "--gmax", "1", "--dmax", "2"],
+            ["transform", "sideways"],
+            ["--config", cfg, "transform", "gw2gv", "--in",
+             str(out / "gw.csv"), "--out", str(out / "gv.csv")],
+            ["bounds", "check", "corollary", "--gmax", "5"],
+            ["transform", "gv2gw", "--in", src, "--out", str(out / "x.csv"),
+             "--gmax", "1", "--dmax", "2", "--qwindow", "0:4"],
+            ["transform", "gv2pt", "--in", src, "--dmax", "2",
+             "--qwindow", "-2:6", "--out", str(out / "pt.json")],
+            ["walls", "candidates", "--n", "5", "--d", "20", "--b", "-1"],
+        ]
+        seen = []
+        for argv in runs:
+            if fresh:
+                cli.build_parser.cache_clear()
+            rc = main(argv)
+            captured = capsys.readouterr()
+            seen.append((rc, captured.out, captured.err))
+        return seen, {p.name: p.read_bytes() for p in out.iterdir()}
+
+    cli.build_parser.cache_clear()
+    seen, files = session(tmp_path / "cached", fresh=False)
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(seen) - 1)
+    assert [rc for rc, _, _ in seen] == [0, 1, 0, 0, 1, 0, 0]
+    for _, out, err in (seen[1], seen[4]):
+        assert out == ""
+        assert err.splitlines()[-1].startswith("error: ")
+    assert seen[1][2].startswith("usage: curvecount transform")
+    assert sorted(files) == ["gv.csv", "gw.csv", "pt.json"]
+    assert session(tmp_path / "fresh", fresh=True) == (seen, files)

@@ -1,6 +1,7 @@
 """Property tests: powers against products, the window law for f*g,
 reversion against composition, log against exp, and the integer kernels
-(the product, Miller's power recurrence, composition, the genus-matrix dot)
+(the product, Miller's power recurrence, composition, the exp/log
+recurrence on scalars and on t-layers, the genus-matrix dot)
 against the Fraction loops they replaced, and parse_rational against
 Fraction(str).
 
@@ -25,7 +26,9 @@ except ImportError:
     sympy = None
 
 from curvecount.series import (  # noqa: E402
+    BivariateSeries,
     LaurentSeries,
+    WindowError,
     _numerators,
     _unit_power,
     parse_rational,
@@ -195,12 +198,12 @@ big_leading = st.one_of(leading, big_values.filter(lambda c: c != 0))
 
 
 @st.composite
-def mixed_laurent(draw, max_trunc: int = 12):
+def mixed_laurent(draw, max_trunc: int = 12, coeffs=mixed_values):
     """f on [a, T], a in -3..3, with large coprime denominators and interior
     zeros; T = a - 1 gives the empty window."""
     a = draw(st.integers(-3, 3))
     T = draw(st.integers(a - 1, max_trunc))
-    cs = draw(st.lists(mixed_values, min_size=T - a + 1, max_size=T - a + 1))
+    cs = draw(st.lists(coeffs, min_size=T - a + 1, max_size=T - a + 1))
     return LaurentSeries("x", a, cs, T)
 
 
@@ -299,6 +302,135 @@ def test_compose_matches_the_fraction_loop(args):
     fm = series_compose(f, m)
     assert fm == reference_compose(f, m)  # window included
     assert all(type(c) is Fraction for c in fm.coeffs)
+
+
+def reference_log_terms(f: list) -> list:
+    """The Fraction loop log ran before integer numerators (f[0] unread)."""
+    g = [None]
+    for n in range(1, len(f)):
+        acc = f[n]
+        for k in range(1, n):
+            acc = acc - Fraction(k, n) * (g[k] * f[n - k])
+        g.append(acc)
+    return g[1:]
+
+
+def reference_exp_terms(f: list) -> list:
+    """The Fraction loop exp ran before integer numerators (f[0] unread)."""
+    g = [None]
+    for n in range(1, len(f)):
+        acc = f[n]
+        for k in range(1, n):
+            acc = acc + Fraction(k, n) * (f[k] * g[n - k])
+        g.append(acc)
+    return g[1:]
+
+
+def reference_log(f):
+    """log(f) as it ran on reference_log_terms, input checks included."""
+    if isinstance(f, BivariateSeries):
+        p0 = f.per_degree[0]
+        if p0.min_exp != 0 or p0.coefficient(0) != 1 or any(
+                c for c in p0.coeffs[1:]):
+            raise ValueError("bivariate log requires degree-0 layer == 1")
+        zero = LaurentSeries.zero(f.variable, p0.trunc_order)
+        return BivariateSeries([zero] + reference_log_terms(f.per_degree))
+    if f.is_zero or f.min_exp != 0 or f.coeffs[0] != 1:
+        raise ValueError("series_log requires constant term 1")
+    T = f.trunc_order
+    g = reference_log_terms([f.coefficient(e) for e in range(0, T + 1)])
+    return LaurentSeries(f.variable, 0, [0] + g, T)
+
+
+def reference_exp(f):
+    """exp(f) as it ran on reference_exp_terms, input checks included."""
+    if isinstance(f, BivariateSeries):
+        f0 = f.per_degree[0]
+        if not f0.is_zero:
+            raise ValueError("bivariate exp requires zero degree-0 layer")
+        if f0.trunc_order < 0:
+            raise WindowError("degree-0 window must reach exponent 0")
+        one = LaurentSeries.one(f.variable, f0.trunc_order)
+        return BivariateSeries([one] + reference_exp_terms(f.per_degree))
+    if f.trunc_order < 0:
+        raise WindowError("exp needs the window to reach exponent 0")
+    if f.min_exp < 1 and not f.is_zero:
+        raise ValueError("series_exp requires zero constant term")
+    T = f.trunc_order
+    g = reference_exp_terms([f.coefficient(e) for e in range(0, T + 1)])
+    return LaurentSeries(f.variable, 0, [1] + g, T)
+
+
+def attempt(op, f):
+    """op(f) with every coefficient a Fraction, or the exception's type."""
+    try:
+        out = op(f)
+    except Exception as exc:  # any type: both sides must raise the same
+        return type(exc)
+    layers = out.per_degree if isinstance(out, BivariateSeries) else [out]
+    assert all(type(c) is Fraction for p in layers for c in p.coeffs)
+    return out
+
+
+# Ragged t-layers: min_exp down to -3, all-zero layers, empty windows, and
+# coefficients in +-1, +-1/2 whose products cancel leading terms, which
+# moves the windows of later layers.
+layers = st.one_of(
+    mixed_laurent(max_trunc=8),
+    mixed_laurent(max_trunc=5, coeffs=st.sampled_from(
+        [Fraction(c, 2) for c in (-2, -1, 0, 1, 2)])),
+    st.integers(-4, 8).map(lambda t: LaurentSeries.zero("x", t)))
+
+
+@st.composite
+def bivariate(draw, head):
+    """Degree-0 layer from head (one time in four any layer), then up to
+    five ragged layers."""
+    p0 = draw(head if draw(st.integers(0, 3)) else layers)
+    return BivariateSeries([p0] + draw(st.lists(layers, max_size=5)))
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(
+    bivariate(st.integers(0, 8).map(lambda t: LaurentSeries.one("x", t))),
+    bivariate(st.integers(-2, 8).map(lambda t: LaurentSeries.zero("x", t))))
+# Cancellations: g_2 cancels to zero, so layer 3 ends at T_{g_2} + m_{f_1},
+# which only the T_a + m_b side of the product window law gives for log
+# (a = g) and only the T_b + m_a side for exp (b = g) in the first example,
+# and which needs the trimmed min_exp of g_2 in the second.
+@hypothesis.example(
+    BivariateSeries([LaurentSeries.one("x", 4), LaurentSeries("x", -1, [1], -1),
+                     LaurentSeries("x", -2, [Fraction(1, 2), Fraction(-1, 2)],
+                                   -1),
+                     LaurentSeries.zero("x", 2), LaurentSeries.zero("x", 2)]),
+    BivariateSeries([LaurentSeries.zero("x", 4), LaurentSeries("x", 0, [1], 0),
+                     LaurentSeries("x", 0, [Fraction(-1, 2)] * 2, 1),
+                     LaurentSeries.zero("x", 3)]))
+@hypothesis.example(
+    BivariateSeries([LaurentSeries.one("x", 3),
+                     LaurentSeries("x", 1, [1, Fraction(-1, 2)], 2),
+                     LaurentSeries("x", 2, [Fraction(1, 2), 0], 3),
+                     LaurentSeries.zero("x", 3)]),
+    BivariateSeries([LaurentSeries.zero("x", 3),
+                     LaurentSeries("x", 0, [1, -1], 1),
+                     LaurentSeries("x", 0, [Fraction(-1, 2), Fraction(1, 2), 0],
+                                   2),
+                     LaurentSeries.zero("x", 0)]))
+def test_bivariate_log_and_exp_match_the_fraction_loops(generating, connected):
+    # BivariateSeries equality compares every layer's window and values
+    assert attempt(series_log, generating) == \
+        attempt(reference_log, generating)
+    assert attempt(series_exp, connected) == attempt(reference_exp, connected)
+
+
+@settings
+@hypothesis.given(st.lists(mixed_values, max_size=12), mixed_laurent())
+def test_scalar_log_and_exp_match_the_fraction_loops(cs, f):
+    T = len(cs)
+    for series in (LaurentSeries("x", 0, [1] + cs, T),
+                   LaurentSeries("x", 1, cs, T), f):
+        assert attempt(series_log, series) == attempt(reference_log, series)
+        assert attempt(series_exp, series) == attempt(reference_exp, series)
 
 
 def fraction_rows(g_out: int) -> list[list[Fraction]]:

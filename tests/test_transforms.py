@@ -334,6 +334,17 @@ def test_window_clipping_is_an_error():
     gv_to_pt_connected(gv, 1, (-2, 5))  # exactly wide enough
 
 
+def test_window_error_names_the_first_clipped_contribution():
+    # at d = 2 the window [-1, 5] clips (g=3, d'=2, r=1) and (g=2, d'=1, r=2),
+    # both at u^-2; r runs upwards, so the error names r = 1; (0, 2) and the
+    # d = 1 layer (lead -1) fit
+    gv = GvTable({(0, 2): F(7, 3), (2, 1): F(1, 2), (3, 2): F(5)}, 3, 2)
+    with pytest.raises(WindowError) as err:
+        gv_to_pt_connected(gv, 2, (-1, 5))
+    assert str(err.value) == ("q-window [-1,5] clips the leading exponent -2 "
+                              "of the (g=3, d'=2, r=1) contribution")
+
+
 # -- exp/log table conversions ------------------------------------------
 
 def test_pt_table_from_zero_connected():
