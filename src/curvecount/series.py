@@ -17,9 +17,11 @@ public type, but the exact hot loops (the product, the power recurrence,
 composition, and log/exp) do not normalize a Fraction after every step: they
 bring their inputs to integer numerators over one common denominator
 (:func:`_numerators`), run on Python integers and build one Fraction per
-output value.  Composition f(m) is one Horner pass on those numerators over
-one running denominator, each step truncated by the valuation of m.  log and
-exp run on t-layers; a Laurent series enters as its constant layers.
+output value.  A product of two numerator lists, in f * g and in each term
+of log/exp, is one product of packed integers (:func:`_convolve`).
+Composition f(m) is one Horner pass on those numerators over one running
+denominator, each step truncated by the valuation of m.  log and exp run on
+t-layers; a Laurent series enters as its constant layers.
 
 A :class:`BivariateSeries` is a finite t-graded stack of Laurent series in
 one secondary variable (the degree-0 layer of a generating series is treated
@@ -236,11 +238,9 @@ class LaurentSeries:
             n = max(trunc - lo + 1, 0)
             a, da = _numerators(self.coeffs[:n])
             b, db = _numerators(other.coeffs[:n])
-            rb = b[::-1]
             den = da * db
-            acc = [Fraction(sum(map(mul, a[:k + 1], rb[n - 1 - k:])), den)
-                   for k in range(n)]
-            return LaurentSeries(self.variable, lo, acc, trunc)
+            return LaurentSeries(self.variable, lo, [
+                Fraction(x, den) for x in _convolve(a, b, n)], trunc)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -336,6 +336,40 @@ class LaurentSeries:
         return f"{body} + O({self.variable}^{self.trunc_order + 1})"
 
 
+def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """The first n coefficients (none for n <= 0) of the product of the
+    integer lists a and b, by one product of two packed integers.
+
+    Kronecker substitution: a list x is packed as sum x_i 2^(8 w i), in
+    slots of w bytes wide enough for every |c_i| <= max|a| max|b|
+    min(len a, len b) and a sign bit, so no coefficient of the product
+    spills into the next slot.  Slots are written and read as unsigned
+    bytes shifted by h = 2^(8w - 1): a list packs as the bytes of x_i + h,
+    less h in every slot, and after h is added to the low n slots of the
+    product, slot i holds c_i + h, in [0, 2h).
+    """
+    if n <= 0:
+        return []
+    a, b = a[:n], b[:n]
+    bound = max(map(abs, a), default=0) * max(map(abs, b), default=0) \
+        * min(len(a), len(b))
+    if not bound:
+        return [0] * n
+    w = bound.bit_length() // 8 + 1
+    h = 1 << (8 * w - 1)
+    hs = bytes(w - 1) + b"\x80"  # h in one slot
+
+    def pack(xs):
+        return int.from_bytes(b"".join([(x + h).to_bytes(w, "little")
+                                        for x in xs]), "little") \
+            - int.from_bytes(hs * len(xs), "little")
+
+    p = pack(a) * pack(b) + int.from_bytes(hs * n, "little")
+    slots = (p & ((1 << 8 * w * n) - 1)).to_bytes(w * n, "little")
+    return [int.from_bytes(slots[i:i + w], "little") - h
+            for i in range(0, w * n, w)]
+
+
 def _unit_power(u: Sequence[Fraction], alpha: int, count: int) -> list:
     """First ``count`` coefficients of u**alpha, for u[0] != 0.
 
@@ -347,6 +381,8 @@ def _unit_power(u: Sequence[Fraction], alpha: int, count: int) -> list:
     the lcm of the denominators of P_0..P_{k-1}, so
     P_k = sum_j ((alpha+1) j - k) a_j n_{k-j} / (den k a_0).
     """
+    # Own loop, not _convolve: P_k needs P_{k-1}, and packed products lose
+    # to this loop once numerators pass a few hundred bits (Karatsuba only).
     a, _ = _numerators(u[:count])
     ja = [j * x for j, x in enumerate(a)]
     p = [u[0] ** alpha]
@@ -395,10 +431,8 @@ def _exp_log_terms(f: Sequence[LaurentSeries], sign: int
         for k, ((ma, _, a, da), (mb, _, b, db)) in enumerate(pairs, 1):
             w = trunc + 1 - ma - mb  # coefficients of a_k b_{n-k} in the window
             scale = sign * k * (common // (da * db))
-            rb = b[:w][::-1]
-            for e in range(w):
-                acc[ma + mb - lo + e] += \
-                    scale * sum(map(mul, a[:e + 1], rb[w - 1 - e:]))
+            for e, x in enumerate(_convolve(a, b, w), ma + mb - lo):
+                acc[e] += scale * x
         first = next((i for i, x in enumerate(acc) if x), len(acc))
         cs = [Fraction(x, n * common) for x in acc[first:]]
         out.append(LaurentSeries(f[0].variable, lo + first, cs, trunc))
@@ -419,6 +453,8 @@ def _compose_power_series(f: LaurentSeries, m: LaurentSeries) -> LaurentSeries:
     A_k = a_k Dm^(top-k) + x^v (b * A_{k+1}), with one Fraction per output
     coefficient.
     """
+    # Own loop, not _convolve: packed, bcov-paper pass_s went from 0.0103 to
+    # 0.0113 s (Python 3.11, 2-vCPU host), the A_k being hundreds of bits.
     if f.min_exp < 0:
         raise ValueError("composition target must be a power series")
     if m.is_zero or m.min_exp < 1:

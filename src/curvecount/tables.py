@@ -189,18 +189,29 @@ def _build_table(kind: str, entries: dict, *, g_max=None, d_max=None,
 
 
 def table_to_json(table) -> str:
+    """``json.dumps(d, sort_keys=True, indent=1)`` of the table's dict d,
+    plus a newline.
+
+    ``indent`` keeps json off its C encoder, so only the metadata, with
+    "entries" empty, goes through json.dumps; the rows are spliced into
+    that list in the same layout.
+    """
     d = {
         "kind": table.kind,
         "d_max": table.d_max,
         "castelnuovo_valid": table.castelnuovo_valid,
-        "entries": [[a, deg, format_rational(v)]
-                    for (a, deg), v in table.sorted_items()],
+        "entries": [],
     }
     if isinstance(table, PtTable):
         d["q_window"] = list(table.q_window)
     else:
         d["g_max"] = table.g_max
-    return json.dumps(d, sort_keys=True, indent=1) + "\n"
+    text = json.dumps(d, sort_keys=True, indent=1)
+    rows = ",\n".join(f'  [\n   {a},\n   {deg},\n   "{format_rational(v)}"\n  ]'
+                      for (a, deg), v in table.sorted_items())
+    if rows:
+        text = text.replace('"entries": []', f'"entries": [\n{rows}\n ]', 1)
+    return text + "\n"
 
 
 def table_from_json_dict(d: dict):

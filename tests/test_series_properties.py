@@ -2,8 +2,9 @@
 reversion against composition, log against exp, and the integer kernels
 (the product, Miller's power recurrence, composition, the exp/log
 recurrence on scalars and on t-layers, the genus-matrix dot)
-against the Fraction loops they replaced, and parse_rational against
-Fraction(str).
+against the Fraction loops they replaced, the packed integer product
+against the double loop and the product against the integer convolution
+it replaced, and parse_rational against Fraction(str).
 
 Run with hypothesis when it is installed; the reversion and inverse oracles
 also need sympy.  Both are test-only dependencies.
@@ -14,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import factorial, lcm
+from operator import mul
 
 import pytest
 
@@ -29,6 +31,7 @@ from curvecount.series import (  # noqa: E402
     BivariateSeries,
     LaurentSeries,
     WindowError,
+    _convolve,
     _numerators,
     _unit_power,
     parse_rational,
@@ -223,6 +226,64 @@ def reference_mul(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
             if b:
                 acc[e - lo] += a * b
     return LaurentSeries(f.variable, lo, acc, trunc)
+
+
+def reference_convolve(a: list, b: list, n: int) -> list:
+    """The first n coefficients (n <= 0: none) of the product of a and b,
+    by the double loop."""
+    n = max(n, 0)
+    c = [0] * n
+    for i, x in enumerate(a[:n]):
+        for j, y in enumerate(b[:n - i]):
+            c[i + j] += x * y
+    return c
+
+
+# Mixed signs at 1 to 2000 bits, powers of two (a slot's edge) and zeros.
+ints = st.integers(1, 2000).flatmap(lambda bits: st.one_of(
+    st.integers(-2 ** bits, 2 ** bits),
+    st.sampled_from([2 ** bits, -2 ** bits, 2 ** bits - 1, 1 - 2 ** bits, 0])))
+int_lists = st.one_of(st.lists(ints, max_size=12),
+                      st.lists(st.just(0), max_size=12))
+
+
+@settings
+@hypothesis.given(int_lists, int_lists, st.integers(-3, 26))
+@hypothesis.example([5, -3], [7, 2], -1)  # a[:-1], b[:-1] would be [5], [7]
+@hypothesis.example([], [1, 2], 3)
+@hypothesis.example([0, 0], [2 ** 2000, -1], 4)
+@hypothesis.example([-(2 ** 7)] * 3, [-(2 ** 7)] * 3, 5)  # 2^15 * 3: 3 bytes
+def test_convolve_matches_the_double_loop(a, b, n):
+    c = _convolve(a, b, n)
+    assert c == reference_convolve(a, b, n)
+    assert all(type(x) is int for x in c)
+
+
+def reference_numerator_mul(f: LaurentSeries, g: LaurentSeries
+                            ) -> LaurentSeries:
+    """The integer convolution f * g ran before the packed product."""
+    lo = f.min_exp + g.min_exp
+    trunc = min(f.trunc_order + g.min_exp, g.trunc_order + f.min_exp)
+    n = max(trunc - lo + 1, 0)
+    a, da = _numerators(f.coeffs[:n])
+    b, db = _numerators(g.coeffs[:n])
+    rb = b[::-1]
+    acc = [Fraction(sum(map(mul, a[:k + 1], rb[n - 1 - k:])), da * db)
+           for k in range(n)]
+    return LaurentSeries(f.variable, lo, acc, trunc)
+
+
+@settings
+@hypothesis.given(mixed_laurent(), mixed_laurent())
+# an empty window, a negative start and the zero series on [0, 2]
+@hypothesis.example(LaurentSeries("x", 2, [], 1), LaurentSeries("x", -3, [1], -3))
+@hypothesis.example(LaurentSeries("x", -3, [1, 0, -2], -1),
+                    LaurentSeries("x", -2, [Fraction(1, 3), 5], -1))
+@hypothesis.example(LaurentSeries.zero("x", 2), LaurentSeries("x", 0, [1, 2], 1))
+def test_product_matches_the_integer_convolution(f, g):
+    fg, ref = f * g, reference_numerator_mul(f, g)
+    assert (fg.min_exp, fg.trunc_order) == (ref.min_exp, ref.trunc_order)
+    assert fg.coeffs == ref.coeffs
 
 
 def reference_unit_power(u, alpha: int, count: int) -> list:
