@@ -18,14 +18,13 @@ import math
 import os
 import sys
 import tempfile
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
 from . import bcov as bcov_mod
 from . import bounds as bounds_mod
 from . import transforms
-from .series import LaurentSeries, WindowError, format_rational
+from .series import LaurentSeries, WindowError, format_rational, parse_rational
 from .svg import render_candidates_svg
 from .tables import (
     TruncationError,
@@ -82,7 +81,7 @@ def _load(path: str, read):
     """read(path), with "<path>: " before every error that does not name it."""
     try:
         return read(path)
-    except (ValueError, ZeroDivisionError) as exc:  # decoding errors too
+    except ValueError as exc:  # decoding errors too
         if str(exc).startswith(f"{path}:"):
             raise
         raise ValueError(f"{path}: {exc}") from None
@@ -330,7 +329,7 @@ def _run_bounds(args) -> int:
 
 def _run_walls(args) -> int:
     _require(args, "n", "d", "b")
-    cands = enumerate_destabilizers(args.n, args.d, Fraction(args.b))
+    cands = enumerate_destabilizers(args.n, args.d, parse_rational(args.b))
     lines = ["k,d1,center_b,radius_sq"]
     for c in cands:
         lines.append(f"{c.k},{c.d1},{format_rational(c.wall.center_b)},"

@@ -71,13 +71,17 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    """Fraction(s); "p" and "p/q" in ASCII digits, p optionally led by "-",
-    are read by int() instead of Fraction's regex."""
-    if isinstance(s, str) and s.isascii():
-        p, slash, q = s.partition("/")
-        if p.removeprefix("-").isdigit() and (q.isdigit() or not slash):
-            return Fraction(int(p), int(q)) if slash else Fraction(int(p))
-    return Fraction(s)
+    """Fraction(s), except that a zero denominator raises
+    ValueError("zero denominator in '1/0'"); "p" and "p/q" in ASCII digits,
+    p optionally led by "-", are read by int() instead of Fraction's regex."""
+    try:
+        if isinstance(s, str) and s.isascii():
+            p, slash, q = s.partition("/")
+            if p.removeprefix("-").isdigit() and (q.isdigit() or not slash):
+                return Fraction(int(p), int(q)) if slash else Fraction(int(p))
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def _coerce(x: Scalar) -> Fraction:

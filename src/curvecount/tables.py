@@ -167,7 +167,7 @@ def read_table_csv(path: str, kind: str, *, g_max: int | None = None,
                 if len(fields) != 3:
                     raise ValueError(f"expected 3 fields, got {len(fields)}")
                 _add_entry(entries, *fields)
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return _build_table(kind, entries, g_max=g_max, d_max=d_max, q_window=q_window)
 
@@ -241,7 +241,7 @@ def table_from_json_dict(d: dict):
                 raise ValueError("expected integer keys and an exact value, "
                                  f"got {json.dumps(entry)}")
             _add_entry(entries, *entry)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"entry {i}: {exc}") from None
     return _build_table(
         kind, entries, g_max=g_max, d_max=d_max,

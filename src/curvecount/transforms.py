@@ -18,11 +18,12 @@ K_{g'}'' = 2k(2k-1) K_{g'-1} - k^2 K_{g'}, so for g' >= 2
     [lam^m] K_{g'} = (2k(2k-1) [lam^(m-2)] K_{g'-1} - k^2 [lam^(m-2)] K_{g'})
                      / (m(m-1)),    m = 2k, 2k+2, ...,
 
-and K_0 = K_2^(-1).  One loop builds M genus by genus on the integers
-e_m = m! [lam^m] K_{g'}, with no recursion; the rows g <= g_out, each integer
-numerators over its lcm denominator, are the one cached value (the last g_out
-only), shared by both directions.  From a row to an output cell each value is
-an integer pair (numerator, denominator), one Fraction per cell.
+and K_0 = K_2^(-1), inverted in lam^2.  One loop builds M genus by genus on
+the integers e_m = m! [lam^m] K_{g'}; each row is integer numerators over one
+denominator D_g, reduced by one gcd, and the rows g <= g_out are the one
+cached value (the last g_out only), shared by both directions.  The cover
+sums hold v_{d'}[g] over D_g times one denominator per degree d', so the
+weights are integers fixed per degree; one Fraction is built per output cell.
 
 The stable-pair side expands the same table in u := -q:
 
@@ -42,7 +43,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import mul
-from typing import Iterator
 
 from .bounds import _at_least
 from .series import BivariateSeries, LaurentSeries, WindowError, _numerators
@@ -64,13 +64,14 @@ __all__ = [
 @lru_cache(maxsize=1)
 def _cover_kernel(g_out: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Rows g <= g_out of M: M[g][g'] = [lam^(2g-2)] K_{g'} for g' <= g, each
-    as (numerators, den) from :func:`~curvecount.series._numerators`."""
-    # K_0 = K_2^(-1) on [lam^-2, lam^(2g_out-2)] from K_2 = 2 - 2cos lam
-    top = 2 * g_out + 2
-    k2 = LaurentSeries("lambda", 2, [
-        Fraction(2 * (-1) ** (m // 2 + 1), factorial(m)) if m % 2 == 0 else 0
-        for m in range(2, top + 1)], top)
-    k0 = k2.invert()
+    as (numerators, den) from :func:`~curvecount.series._numerators`, but
+    built on integers: over lcm((2g-2)!, den M[g][0]) the columns g' >= 1 are
+    e_{g-1} times one quotient, and one gcd reduces the row to exactly the
+    lcm of its reduced denominators.  K_0 = K_2^(-1) is inverted in lam^2."""
+    # K_0 on [mu^-1, mu^(g_out-1)] from K_2 = 2 - 2cos lam on [mu, mu^(g_out+1)]
+    k0 = LaurentSeries("mu", 1, [
+        Fraction(2 * (-1) ** (j + 1), factorial(2 * j))
+        for j in range(1, g_out + 2)], g_out + 1).invert()
     # Column g' >= 1 as e_j = (2j)! [lam^(2j)] K_{g'}, j < g_out: K_1 = 1, and
     # the recurrence of the module docstring times m! = (2j)! steps K_{k+1}
     # from K_k on the integers, e_j = 2k(2k-1) e'_{j-1} - k^2 e_{j-1}
@@ -83,10 +84,13 @@ def _cover_kernel(g_out: int) -> tuple[tuple[tuple[int, ...], int], ...]:
         cols.append(new)
     rows = []
     for g in range(g_out + 1):
-        fact = factorial(max(2 * g - 2, 0))
-        nums, den = _numerators([k0.coefficient(2 * g - 2)] + [
-            Fraction(col[g - 1], fact) for col in cols[:g]])
-        rows.append((tuple(nums), den))
+        fact, c = factorial(max(2 * g - 2, 0)), k0.coefficient(g - 1)
+        den = lcm(fact, c.denominator)
+        f = den // fact
+        nums = [c.numerator * (den // c.denominator)] + [
+            col[g - 1] * f for col in cols[:g]]
+        div = gcd(den, *nums)
+        rows.append((tuple(x // div for x in nums), den // div))
     return tuple(rows)
 
 
@@ -95,18 +99,15 @@ def _dot(row: tuple[tuple[int, ...], int], ns: list[int]) -> int:
     return sum(map(mul, row[0], ns))
 
 
-def _covers(v: dict, g_out: int, d: int, r_min: int) -> Iterator[tuple]:
-    """Yields, for g = 0..g_out, sum_{r | d, r >= r_min} r^(2g-3) v[d/r][g]
-    = sum r^(2g) (d/r)^3 v[d/r][g] / d^3 on integer weights, each v[d'][g]
-    and each sum an integer pair (numerator, denominator)."""
+def _cover_weights(dens: dict, d: int, r_min: int
+                   ) -> tuple[list[int], int, list[int]]:
+    """The divisors r >= r_min of d, the lcm L of their dens[d/r] and the
+    weights w_r = (d/r)^3 L / dens[d/r].  With v[d'][g] = x[d'][g] over
+    D_g dens[d'], sum_{r | d, r >= r_min} r^(2g-3) v[d/r][g] is
+    sum_r w_r r^(2g) x[d/r][g] over D_g L d^3, integer weights at every g."""
     rs = [r for r in range(r_min, d + 1) if d % r == 0]
-    ws = [(d // r) ** 3 for r in rs]  # r^(2g) (d/r)^3, stepped by r^2 per g
-    for g in range(g_out + 1):
-        cells = [v[d // r][g] for r in rs]
-        den = lcm(*{q for _, q in cells})
-        yield (sum([w * x if q == den else w * x * (den // q)
-                    for w, (x, q) in zip(ws, cells)]), den * d ** 3)
-        ws = [w * r * r for w, r in zip(ws, rs)]
+    big = lcm(*[dens[d // r] for r in rs])
+    return rs, big, [(d // r) ** 3 * (big // dens[d // r]) for r in rs]
 
 
 def _require_window(table, g_out: int, d_out: int) -> None:
@@ -122,13 +123,19 @@ def gv_to_gw(gv: GvTable, g_out: int, d_out: int) -> GwTable:
     N_{g,d} = sum_{r | d} r^(2g-3) v_{d/r}[g]."""
     _require_window(gv, g_out, d_out)
     m = _cover_kernel(g_out)
-    v, out = {}, {}
+    v, dens, out = {}, {}, {}  # v[d'][g] over m[g][1] * dens[d']
     for d in range(1, d_out + 1):
-        ns, nden = _numerators([gv.entries.get((gp, d), 0)
-                                for gp in range(g_out + 1)])
-        v[d] = [(_dot(row, ns), row[1] * nden) for row in m]
-        out.update(((g, d), Fraction(*c))
-                   for g, c in enumerate(_covers(v, g_out, d, 1)))
+        col = [gv.entries.get((gp, d), 0) for gp in range(g_out + 1)]
+        while col and not col[-1]:  # n_{g', d} = 0 for g' > B(d)
+            col.pop()
+        ns, dens[d] = _numerators(col)
+        v[d] = [_dot(row, ns) for row in m]
+        rs, big, ws = _cover_weights(dens, d, 1)
+        xs, den = [v[d // r] for r in rs], big * d ** 3
+        for g, row in enumerate(m):
+            out[(g, d)] = Fraction(sum([w * x[g] for w, x in zip(ws, xs)]),
+                                   row[1] * den)
+            ws = [w * r * r for w, r in zip(ws, rs)]
     return GwTable(out, g_out, d_out)
 
 
@@ -138,19 +145,31 @@ def gw_to_gv(gw: GwTable, g_out: int, d_out: int) -> GvTable:
     substitution on integer numerators over one denominator, grown to lcms."""
     _require_window(gw, g_out, d_out)
     m = _cover_kernel(g_out)
-    v, out = {}, {}
+    v, dens, out = {}, {}, {}
     for d in range(1, d_out + 1):
-        nums, nden, v[d] = [], 1, []  # n_{g' < g} = nums[g'] / nden
-        for g, (row, (c, cden)) in enumerate(zip(m, _covers(v, g_out, d, 2))):
-            a, b = gw.value(g, d).as_integer_ratio()
-            t, tden = _dot(row, nums), row[1] * nden  # the diagonal drops out
-            x = out[(g, d)] = Fraction(  # a/b - c/cden - t/tden
-                (a * cden - b * c) * tden - b * cden * t, b * cden * tden)
+        rs, big, ws = _cover_weights(dens, d, 2)
+        xs, cden = [v[d // r] for r in rs], big * d ** 3
+        nums, nden, e = [], 1, cden  # n_{g' < g} = nums[g'] / nden
+        ys = []  # v_d[g] = y / (row[1] q) for (y, q) = ys[g]
+        for g, row in enumerate(m):
+            val = gw.entries.get((g, d), 0)
+            b, c = val.denominator, sum([w * x[g] for w, x in zip(ws, xs)])
+            ws = [w * r * r for w, r in zip(ws, rs)]
+            t = _dot(row, nums)  # over row[1] * nden; the diagonal drops out
+            # val - c/(row[1] cden) - t/(row[1] nden) over X = row[1] e,
+            # e = lcm(cden, nden), times k = 1 unless b does not divide X
+            den = row[1] * e
+            k = b // gcd(den, b) if den % b else 1
+            x = out[(g, d)] = Fraction(val.numerator * (den * k // b) - (
+                c * (e // cden) + t * (e // nden)) * k, den * k)
             if nden % (q := x.denominator):  # nden becomes lcm(nden, q)
                 grow = q // gcd(nden, q)
                 nums, nden, t = [y * grow for y in nums], nden * grow, t * grow
-            nums.append(x.numerator * (nden // q))
-            v[d].append((t + row[0][g] * nums[g], row[1] * nden))  # M n = v_d
+                e = lcm(cden, nden)
+            if y := x.numerator * (nden // q):  # nums keeps no zero tail
+                nums += [0] * (g - len(nums)) + [y]
+            ys.append((t + row[0][g] * y, nden))  # M n = v_d
+        v[d], dens[d] = [y * (nden // q) for y, q in ys], nden
     return GvTable(out, g_out, d_out)
 
 

@@ -216,10 +216,24 @@ def test_written_tables_are_the_formatter_text(tmp_path):
 
 def test_zero_denominator_is_a_usage_error(capsys):
     rc = main(["walls", "candidates", "--n", "3", "--d", "1", "--b", "1/0"])
-    err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("error:")
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("gw.csv", "g,d,value\n0,1,1/0\n", ":2:"),
+    ("gw.json", json.dumps({"kind": "gw", "d_max": 1, "g_max": 0,
+                            "entries": [[0, 1, "1/0"]]}), ": entry 0:"),
+], ids=["csv_table", "json_table"])
+def test_zero_denominator_in_a_table_names_the_file_and_value(
+        tmp_path, capsys, name, text, where):
+    src = write(tmp_path / name, text)
+    out = tmp_path / "gv.csv"
+    assert main(["transform", "gw2gv", "--in", src, "--out", str(out),
+                 "--gmax", "0", "--dmax", "1"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {src}{where} zero denominator in '1/0'\n"
+    assert not out.exists()
 
 
 def test_determinism(tmp_path):
@@ -415,7 +429,7 @@ SERIES_ONE = json.dumps(LaurentSeries("q", 0, [1], 0).to_json_dict())
      'coeffs must be a list of "p/q" strings, got 5'),
     ("dt0", "dt0.json",
      b'{"variable": "q", "min_exp": 0, "coeffs": ["1/0"], "trunc": 0}',
-     "Fraction(1, 0)"),
+     "zero denominator in '1/0'"),
     ("dt0", "dt0.json", b"[1, 2]", "expected a JSON object"),
     ("frame", "frame.json", b"[1, 2]", "expected a JSON object"),
     ("frame", "frame.json", b'{"delta_of_q": ' + SERIES_ONE.encode() + b"}",

@@ -1,10 +1,10 @@
 """Property tests: the GV<->GW and PT log/exp round trips are exact,
-PT->DT by the degree-0 series 1 returns its input, and the integer divisor
-sum of the GV<->GW dictionary and both GV<->GW transforms on integer pairs
-equal their Fraction forms.
+PT->DT by the degree-0 series 1 returns its input, and the per-degree cover
+weights of the GV<->GW dictionary and both GV<->GW transforms on integer
+numerators equal their Fraction forms.
 
 Each round trip runs one shared helper through both of its callers: the
-cover sum through gv_to_gw and gw_to_gv, the log/exp recurrences through
+cover weights through gv_to_gw and gw_to_gv, the log/exp recurrences through
 pt_connected_to_table (exp) and pt_table_to_connected (log).
 """
 
@@ -22,7 +22,7 @@ from curvecount.bounds import bps_threshold  # noqa: E402
 from curvecount.series import BivariateSeries, LaurentSeries  # noqa: E402
 from curvecount.tables import GvTable, GwTable, PtTable  # noqa: E402
 from curvecount.transforms import (  # noqa: E402
-    _covers,
+    _cover_weights,
     gv_to_gw,
     gv_to_pt_connected,
     gw_to_gv,
@@ -86,24 +86,33 @@ def reference_covers(v: dict, g: int, d: int, r_min: int) -> Fraction:
 
 
 @settings
-@hypothesis.given(st.integers(0, 4).flatmap(lambda g_max: st.lists(
-    st.lists(st.tuples(st.fractions(max_denominator=30), st.integers(1, 4)),
-             min_size=g_max + 1, max_size=g_max + 1),
-    min_size=12, max_size=12)))
-def test_covers_matches_the_fraction_sum(rows):
-    """_covers on pairs (k p, k q), unreduced as in the transforms, for each
-    v[d'][g] = p/q."""
-    v = {d: [x for x, _ in row] for d, row in enumerate(rows, start=1)}
-    pairs = {d: [(x.numerator * k, x.denominator * k) for x, k in row]
-             for d, row in enumerate(rows, start=1)}
-    g_max = len(rows[0]) - 1
+@hypothesis.given(st.integers(0, 4).flatmap(lambda g_max: st.tuples(
+    st.lists(st.lists(st.fractions(max_denominator=30),
+                      min_size=g_max + 1, max_size=g_max + 1),
+             min_size=12, max_size=12),
+    st.lists(st.integers(1, 4), min_size=12, max_size=12),
+    st.lists(st.integers(1, 6), min_size=g_max + 1, max_size=g_max + 1))))
+def test_cover_weights_give_the_fraction_sum(data):
+    """v[d'][g] = p/q as the transforms hold it: a numerator over
+    D_g dens[d'], dens[d'] = k lcm(q) unreduced, so the cell
+    sum_r w_r r^(2g) x[d/r][g] over D_g L d^3 is the divisor sum."""
+    rows, ks, row_dens = data
+    v = dict(enumerate(rows, start=1))
+    dens = {d: k * math.lcm(*(x.denominator for x in row))
+            for (d, row), k in zip(v.items(), ks)}
+    xs = {d: [x.numerator * dg * dens[d] // x.denominator
+              for x, dg in zip(row, row_dens)] for d, row in v.items()}
     for d in range(1, 13):
         for r_min in (1, 2):
-            got = list(_covers(pairs, g_max, d, r_min))
-            assert len(got) == g_max + 1
-            for g, (num, den) in enumerate(got):  # g = 0, 1: 2g - 3 < 0
-                assert type(num) is int and type(den) is int and den > 0
-                assert Fraction(num, den) == reference_covers(v, g, d, r_min)
+            rs, big, ws = _cover_weights(dens, d, r_min)
+            assert rs == [r for r in range(r_min, d + 1) if d % r == 0]
+            assert big == math.lcm(*(dens[d // r] for r in rs))
+            assert all(type(w) is int for w in ws)
+            for g, dg in enumerate(row_dens):  # g = 0, 1: 2g - 3 < 0
+                num = sum(w * r ** (2 * g) * xs[d // r][g]
+                          for r, w in zip(rs, ws))
+                assert Fraction(num, dg * big * d ** 3) == \
+                    reference_covers(v, g, d, r_min)
 
 
 def fraction_rows(g_out: int) -> list[list[Fraction]]:
@@ -180,6 +189,35 @@ def test_gw_to_gv_matches_the_fraction_loop(window, data):
         Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))),
         g_max, d_max)
     assert gw_to_gv(gw, g_out, d_out) == reference_gw_to_gv(gw, g_out, d_out)
+
+
+@st.composite
+def degree_den_gv_tables(draw) -> GvTable:
+    """GV data on a window g <= 6, d <= 8 whose degrees carry different
+    denominators: each degree's entries have that degree's own prime (or 1)
+    as denominator, so the per-degree denominators of the covers differ."""
+    g_max, d_max = draw(st.integers(0, 6)), draw(st.integers(1, 8))
+    dens = draw(st.lists(st.sampled_from([1] + PRIMES[:12]),
+                         min_size=d_max, max_size=d_max))
+    entries = cell_values(draw, g_max, d_max, st.integers(-50, 50))
+    return GvTable({(g, d): Fraction(x, dens[d - 1])
+                    for (g, d), x in entries.items()}, g_max, d_max)
+
+
+@settings
+@hypothesis.given(degree_den_gv_tables(), st.data())
+def test_gv_gw_round_trip_matches_the_fraction_loops(gv, data):
+    """gw_to_gv on the covers of GV data and on arbitrary rational GW data
+    on the same window, whose denominators mostly do not divide the cell's
+    common denominator and so widen it, equals the Fraction loops."""
+    g_max, d_max = gv.g_max, gv.d_max
+    gw = gv_to_gw(gv, g_max, d_max)
+    assert gw == reference_gv_to_gw(gv, g_max, d_max)
+    assert gw_to_gv(gw, g_max, d_max) == gv
+    gw = GwTable(cell_values(data.draw, g_max, d_max, st.fractions(
+        min_value=-10 ** 4, max_value=10 ** 4, max_denominator=10 ** 4)),
+        g_max, d_max)
+    assert gw_to_gv(gw, g_max, d_max) == reference_gw_to_gv(gw, g_max, d_max)
 
 
 @st.composite
