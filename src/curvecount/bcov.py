@@ -285,7 +285,8 @@ class CastelnuovoSolveResult:
 
 def _deficit(g: int, Dg: int) -> tuple[int, int, range]:
     """(K, E, missing degrees E+1..K), K = floor((2g-2)/5), E = min(Dg, K)."""
-    K = len(castelnuovo_indices(g))
+    _check_genus(g)
+    K = (2 * g - 2) // 5
     E = min(Dg, K)
     return K, E, range(E + 1, K + 1)
 
@@ -387,7 +388,7 @@ def resolution_plan(g: int) -> ResolutionPlan:
         if r * r == 40 * g - 15 and d in missing else ()
     if not missing:
         status = "closed"
-    elif supplements and len(missing) == 1:
+    elif supplements and K - E == 1:
         status = "conditional"
     else:
         status = "open"

@@ -10,18 +10,19 @@ Every operation computes the tightest window it can guarantee:
     f ** n: [n m_f,         T_f + (n - 1) m_f]     (any integer n != 0)
 
 so windows shrink when negative exponents convolve.  Every power, f ** -1
-included, comes from one recurrence.
+included, exp f and the Bernoulli numbers come from one recurrence
+(Miller's, :func:`_miller`); log f is the integral of (x f') f**-1 dx/x.
 
 Coefficients are :class:`~fractions.Fraction` values, and that stays the
-public type, but the exact hot loops (the product, the power recurrence,
-composition, and log/exp) do not normalize a Fraction after every step: they
-bring their inputs to integer numerators over one common denominator
-(:func:`_numerators`), run on Python integers and build one Fraction per
-output value.  A product of two numerator lists, in f * g and in each term
-of log/exp, is one product of packed integers (:func:`_convolve`).
-Composition f(m) is one Horner pass on those numerators over one running
-denominator, each step truncated by the valuation of m.  log and exp run on
-t-layers; a Laurent series enters as its constant layers.
+public type, but the exact hot loops (the product, the recurrence,
+composition, and the bivariate log/exp) do not normalize a Fraction after
+every step: they bring their inputs to integer numerators over one common
+denominator (:func:`_numerators`), run on Python integers and build one
+Fraction per output value.  A product of two numerator lists, in f * g and
+in each term of the bivariate log/exp, is one product of packed integers
+(:func:`_convolve`).  Composition f(m) is one Horner pass on those
+numerators over one running denominator, each step truncated by the
+valuation of m.  The bivariate log and exp run on t-layers.
 
 A :class:`BivariateSeries` is a finite t-graded stack of Laurent series in
 one secondary variable (the degree-0 layer of a generating series is treated
@@ -264,7 +265,8 @@ class LaurentSeries:
             raise ValueError("cannot invert: zero leading coefficient")
         a, u = self.min_exp, self.coeffs
         return LaurentSeries(self.variable, n * a,
-                             _unit_power(u, n, len(u)) if u else (),
+                             _miller(u, n + 1, -1, u[0] ** n, len(u))
+                             if u else (),
                              self.trunc_order + (n - 1) * a)
 
     def truncate(self, trunc_order: int) -> LaurentSeries:
@@ -282,10 +284,17 @@ class LaurentSeries:
         return self ** -1
 
     def log(self) -> LaurentSeries:
-        """log(f) for f with constant term 1; result has valuation >= 1."""
+        """log(f) for f with constant term 1; result has valuation >= 1.
+
+        With theta = x d/dx, n [x^n] log f = [x^n] (theta f) f**-1.
+        """
         if self.is_zero or self.min_exp != 0 or self.coeffs[0] != 1:
             raise ValueError("series_log requires constant term 1")
-        return self._by_layers(BivariateSeries.log)
+        T = self.trunc_order
+        d = LaurentSeries(self.variable, 0, [
+            e * c for e, c in enumerate(self.coeffs)], T) * self ** -1
+        return LaurentSeries(self.variable, 0, [0] + [
+            d.coefficient(n) / n for n in range(1, T + 1)], T)
 
     def exp(self) -> LaurentSeries:
         """exp(f) for f with zero constant term (valuation >= 1)."""
@@ -293,17 +302,10 @@ class LaurentSeries:
             raise WindowError("exp needs the window to reach exponent 0")
         if self.min_exp < 1 and not self.is_zero:
             raise ValueError("series_exp requires zero constant term")
-        return self._by_layers(BivariateSeries.exp)
-
-    def _by_layers(self, op) -> LaurentSeries:
-        """log or exp (op) of this series as op of the bivariate series
-        whose t^e layer is the constant c_e, known on [0, 0]."""
-        layers = op(BivariateSeries([
-            LaurentSeries(self.variable, 0, [self.coefficient(e)], 0)
-            for e in range(self.trunc_order + 1)])).per_degree
+        T = self.trunc_order
+        u = [Fraction(1)] + [self.coefficient(e) for e in range(1, T + 1)]
         return LaurentSeries(self.variable, 0,
-                             [p.coefficient(0) for p in layers],
-                             self.trunc_order)
+                             _miller(u, 1, 0, Fraction(1), T + 1), T)
 
     # -- serialization -------------------------------------------------
 
@@ -374,42 +376,49 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
             for i in range(0, w * n, w)]
 
 
-def _unit_power(u: Sequence[Fraction], alpha: int, count: int) -> list:
-    """First ``count`` coefficients of u**alpha, for u[0] != 0.
+def _miller(u: Sequence[Fraction], p: int, q: int, h0: Fraction,
+            count: int) -> list:
+    """First ``count`` coefficients of the series h with h_0 = h0 and
+    k u_0 h_k = sum_{j=1..k} (p j + q k) u_j h_{k-j}, for u[0] != 0.
 
-    J.C.P. Miller's recurrence, from u P' = alpha u' P: P_0 = u_0^alpha and
-    P_k = (1/(k u_0)) sum_{j=1..k} ((alpha+1) j - k) u_j P_{k-j}.  It reads
-    u only below ``count``.
+    J.C.P. Miller's recurrence.  From u h' = alpha u' h, the power
+    h = u**alpha has (p, q) = (alpha + 1, -1) and h0 = u_0**alpha; from
+    h' = u' h, exp(u - 1) for u_0 = 1 has (p, q) = (1, 0) and h0 = 1.  It
+    reads u only below ``count``.
 
-    The sums run on integers: u_j = a_j / D and P_j = n_j / den, with den
-    the lcm of the denominators of P_0..P_{k-1}, so
-    P_k = sum_j ((alpha+1) j - k) a_j n_{k-j} / (den k a_0).
+    The sums run on integers: u_j = a_j / D and h_j = n_j / den, with den
+    the lcm of the denominators of h_0..h_{k-1}, so
+    h_k = sum_j (p j + q k) a_j n_{k-j} / (den k a_0).
     """
-    # Own loop, not _convolve: P_k needs P_{k-1}, and packed products lose
+    # Own loop, not _convolve: h_k needs h_{k-1}, and packed products lose
     # to this loop once numerators pass a few hundred bits (Karatsuba only).
     a, _ = _numerators(u[:count])
     ja = [j * x for j, x in enumerate(a)]
-    p = [u[0] ** alpha]
-    den, nums = p[0].denominator, [p[0].numerator]
+    h = [h0]
+    den, nums = h0.denominator, [h0.numerator]
     for k in range(1, count):
         rev = nums[::-1]  # n_{k-1}, ..., n_0
-        s = (alpha + 1) * sum(map(mul, ja[1:k + 1], rev)) \
-            - k * sum(map(mul, a[1:k + 1], rev))
-        pk = Fraction(s, den * k * a[0])
-        q = pk.denominator
-        if den % q:  # den becomes lcm(den, q)
-            grow = q // gcd(den, q)
+        s = 0
+        if p:
+            s += p * sum(map(mul, ja[1:k + 1], rev))
+        if q:
+            s += q * k * sum(map(mul, a[1:k + 1], rev))
+        hk = Fraction(s, den * k * a[0])
+        d = hk.denominator
+        if den % d:  # den becomes lcm(den, d)
+            grow = d // gcd(den, d)
             nums = [x * grow for x in nums]
             den *= grow
-        nums.append(pk.numerator * (den // q))
-        p.append(pk)
-    return p
+        nums.append(hk.numerator * (den // d))
+        h.append(hk)
+    return h
 
 
 def _exp_log_terms(f: Sequence[LaurentSeries], sign: int
                    ) -> list[LaurentSeries]:
     """[g_1, ..., g_N] for g = exp f (sign 1, g_0 = 1) or log f (sign -1,
-    f_0 = 1; f[0] is unread) on t-layers f_n: g_n = f_n + sign
+    f_0 = 1; f[0] is unread) on the t-layers f_n of a
+    :class:`BivariateSeries`: g_n = f_n + sign
     sum_{0<k<n} (k/n) a_k b_{n-k} with (a, b) = (f, g) for exp, (g, f) for log.
 
     g_n gets the window of the LaurentSeries sum of those products, leading
@@ -486,13 +495,14 @@ def series_reversion(m: LaurentSeries) -> LaurentSeries:
     """Compositional inverse of m = c1*x + ... with c1 != 0, on [1, T].
 
     Lagrange inversion: w_n = (1/n) [x^(n-1)] (m(x)/x)^(-n), with the power
-    from :func:`_unit_power` up to x^(n-1) only, so the whole reversion
+    from :func:`_miller` up to x^(n-1) only, so the whole reversion
     costs O(T^3) operations.
     """
     if m.is_zero or m.min_exp != 1:
         raise ValueError("reversion needs valuation exactly 1")
-    T = m.trunc_order
-    w = [_unit_power(m.coeffs, -n, n)[n - 1] / n for n in range(1, T + 1)]
+    T, u = m.trunc_order, m.coeffs
+    w = [_miller(u, 1 - n, -1, u[0] ** -n, n)[n - 1] / n
+         for n in range(1, T + 1)]
     return LaurentSeries(m.variable, 1, w, T)
 
 

@@ -37,8 +37,8 @@ from curvecount.cli import main
 from curvecount.series import (
     LaurentSeries,
     WindowError,
+    _miller,
     _numerators,
-    _unit_power,
     series_compose,
     series_invert,
     series_reversion,
@@ -291,6 +291,32 @@ def test_bcov_plan_cli_at_a_huge_genus(tmp_path):
                                             "stop": 3 * 10 ** 8 - 2}
 
 
+def test_plan_and_castelnuovo_solve_past_a_machine_word():
+    # len() of these ranges overflows a C ssize_t; K is the closed form
+    for g in range(2, 3000):
+        assert resolution_plan(g).K == len(castelnuovo_indices(g)) == \
+            castelnuovo_solve(g, LaurentSeries.zero("q", 0), 0, [F(0)]).K, g
+    g = 10 ** 22
+    K = (2 * g - 2) // 5
+    plan = _within_a_second(lambda: resolution_plan(g))
+    assert plan.status == "open" and plan.supplements == ()
+    assert plan.K == K and plan.castelnuovo == range(g - K, g)
+    assert plan.missing_degrees == range(plan.E + 1, K + 1)
+    res = castelnuovo_solve(g, LaurentSeries.zero("q", 2), 2, [F(0)] * 3)
+    assert not res.closed and res.values == {}
+    assert (res.E, res.K) == (2, K)
+    assert res.missing_degrees == range(3, K + 1)
+    assert res.unresolved == range(g - 4, g - 2 - K, -1)
+
+
+def test_bcov_plan_cli_past_a_machine_word(tmp_path, capsys):
+    out = tmp_path / "plan.json"
+    rc = main(["bcov", "plan", "--g", str(10 ** 22), "--out", str(out)])
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads(out.read_text())["status"] == "open"
+
+
 def test_first_open_genus():
     assert _within_a_second(first_open_genus) == 54
 
@@ -376,7 +402,8 @@ def reference_gap_solve(g: int, known_terms: LaurentSeries,
     jr, den = _numerators(jr)  # jr[j - 1] / den = j r_j
     x = {}
     for i in range(1, width + 1):
-        c, dc = _numerators(_unit_power(y.coeffs, -i, width - i + 1))
+        c, dc = _numerators(
+            _miller(y.coeffs, 1 - i, -1, y.coeffs[0] ** -i, width - i + 1))
         x[i + g - 1] = Fraction(sum(map(mul, jr[i - 1:], c)), den * dc * i)
     return x
 

@@ -32,8 +32,8 @@ from curvecount.series import (  # noqa: E402
     LaurentSeries,
     WindowError,
     _convolve,
+    _miller,
     _numerators,
-    _unit_power,
     parse_rational,
     series_compose,
     series_exp,
@@ -287,7 +287,8 @@ def test_product_matches_the_integer_convolution(f, g):
 
 
 def reference_unit_power(u, alpha: int, count: int) -> list:
-    """The Fraction form of Miller's recurrence that _unit_power replaced."""
+    """The Fraction form of Miller's recurrence for u**alpha that the
+    integer loop _miller replaced."""
     u0 = u[0]
     p = [u0 ** alpha]
     for k in range(1, count):
@@ -315,7 +316,7 @@ def test_product_matches_the_fraction_loop(f, g):
 def test_unit_power_matches_the_fraction_recurrence(u, alpha, data):
     u = (u[0], *u[1])
     count = data.draw(st.integers(1, len(u)))
-    assert _unit_power(u, alpha, count) == \
+    assert _miller(u, alpha + 1, -1, u[0] ** alpha, count) == \
         reference_unit_power(u, alpha, count)
 
 
@@ -484,8 +485,17 @@ def test_bivariate_log_and_exp_match_the_fraction_loops(generating, connected):
     assert attempt(series_exp, connected) == attempt(reference_exp, connected)
 
 
+# The quintic's fundamental period (5n)!/(n!)^5 and (5n)!/((n!)^5 n) at
+# T = 30: coefficients of several hundred bits, each series both as the
+# tail of 1 + ... and as f.
+PERIOD = [Fraction(factorial(5 * n), factorial(n) ** 5) for n in range(31)]
+PERIOD_OVER_N = [c / n for n, c in enumerate(PERIOD[1:], 1)]
+
+
 @settings
 @hypothesis.given(st.lists(mixed_values, max_size=12), mixed_laurent())
+@hypothesis.example(PERIOD[1:], LaurentSeries("x", 1, PERIOD_OVER_N, 30))
+@hypothesis.example(PERIOD_OVER_N, LaurentSeries("x", 0, PERIOD, 30))
 def test_scalar_log_and_exp_match_the_fraction_loops(cs, f):
     T = len(cs)
     for series in (LaurentSeries("x", 0, [1] + cs, T),
