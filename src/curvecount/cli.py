@@ -110,7 +110,11 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 def _parse_window(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ValueError(
+            f"--qwindow expects n_min:n_max (integers), got {text!r}") from None
 
 
 def _with_config(argv: list[str], args: argparse.Namespace) -> list[str]:
@@ -121,10 +125,12 @@ def _with_config(argv: list[str], args: argparse.Namespace) -> list[str]:
     """
     tokens = []
     text = _load(args.config, lambda p: Path(p).read_text("utf-8"))
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if line:
-            key, _, value = line.partition("=")
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ValueError(f"{args.config}:{number}: expected key = value")
             tokens.append(f"--{key.strip()}={value.strip()}")
     at = 0
     while argv[at].startswith("-"):  # --config PATH or --config=PATH
@@ -263,8 +269,8 @@ def _run_transform(args) -> int:
             out = _vanishing(out, reports)
     elif args.direction == "gv2pt":
         _require(args, "dmax", "qwindow")
-        gv = _read_table(args.infile, "gv", g_max=args.gmax, d_max=args.dmax)
         window = _parse_window(args.qwindow)
+        gv = _read_table(args.infile, "gv", g_max=args.gmax, d_max=args.dmax)
         connected = transforms.gv_to_pt_connected(gv, args.dmax, window)
         out = transforms.pt_connected_to_table(connected)
         if args.apply_castelnuovo:
@@ -382,11 +388,16 @@ _RUNNERS = {
 }
 
 
-def _joined_window_args(argv: list[str]) -> list[str]:
-    """Fold ``--qwindow -10:10`` into one token; bare ``-10:10`` trips argparse."""
+# Options whose values may start with "-" but are not plain negative numbers
+# (-10:10, -1/2), which argparse would take for flags.
+_JOINED = ("--qwindow", "--b")
+
+
+def _joined_value_args(argv: list[str]) -> list[str]:
+    """Fold ``--qwindow -10:10`` and ``--b -1/2`` into one token each."""
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] == "--qwindow":
+        if out and out[-1] in _JOINED:
             out[-1] += f"={tok}"
         else:
             out.append(tok)
@@ -397,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    argv = _joined_window_args(list(argv))
+    argv = _joined_value_args(list(argv))
     try:
         args = parser.parse_args(argv)
         if args.config:

@@ -18,12 +18,13 @@ K_{g'}'' = 2k(2k-1) K_{g'-1} - k^2 K_{g'}, so for g' >= 2
     [lam^m] K_{g'} = (2k(2k-1) [lam^(m-2)] K_{g'-1} - k^2 [lam^(m-2)] K_{g'})
                      / (m(m-1)),    m = 2k, 2k+2, ...,
 
-and K_0 = K_2^(-1), inverted in lam^2.  One loop builds M genus by genus on
-the integers e_m = m! [lam^m] K_{g'}; each row is integer numerators over one
-denominator D_g, reduced by one gcd, and the rows g <= g_out are the one
-cached value (the last g_out only), shared by both directions.  The cover
-sums hold v_{d'}[g] over D_g times one denominator per degree d', so the
-weights are integers fixed per degree; one Fraction is built per output cell.
+and [lam^(2g-2)] K_0 = (-1)^(g+1) (2g-1) B_2g/(2g)!.  One loop builds the
+columns g' >= 1 on the integers e_m = m! [lam^m] K_{g'}; each row is integer
+numerators over one denominator D_g, reduced by one gcd, and the rows
+g <= g_out are the one cached value (the last g_out only), shared by both
+directions.  The cover sums hold v_{d'}[g] over D_g times one denominator per
+degree d', so the weights are integers fixed per degree; one Fraction is
+built per output cell.
 
 The stable-pair side expands the same table in u := -q:
 
@@ -44,6 +45,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import mul
 
+from .bernoulli import bernoulli
 from .bounds import _at_least
 from .series import BivariateSeries, LaurentSeries, WindowError, _numerators
 from .tables import GvTable, GwTable, PtTable, TruncationError
@@ -67,11 +69,7 @@ def _cover_kernel(g_out: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     as (numerators, den) from :func:`~curvecount.series._numerators`, but
     built on integers: over lcm((2g-2)!, den M[g][0]) the columns g' >= 1 are
     e_{g-1} times one quotient, and one gcd reduces the row to exactly the
-    lcm of its reduced denominators.  K_0 = K_2^(-1) is inverted in lam^2."""
-    # K_0 on [mu^-1, mu^(g_out-1)] from K_2 = 2 - 2cos lam on [mu, mu^(g_out+1)]
-    k0 = LaurentSeries("mu", 1, [
-        Fraction(2 * (-1) ** (j + 1), factorial(2 * j))
-        for j in range(1, g_out + 2)], g_out + 1).invert()
+    lcm of its reduced denominators.  Column 0 is closed form in B_2g."""
     # Column g' >= 1 as e_j = (2j)! [lam^(2j)] K_{g'}, j < g_out: K_1 = 1, and
     # the recurrence of the module docstring times m! = (2j)! steps K_{k+1}
     # from K_k on the integers, e_j = 2k(2k-1) e'_{j-1} - k^2 e_{j-1}
@@ -84,7 +82,8 @@ def _cover_kernel(g_out: int) -> tuple[tuple[tuple[int, ...], int], ...]:
         cols.append(new)
     rows = []
     for g in range(g_out + 1):
-        fact, c = factorial(max(2 * g - 2, 0)), k0.coefficient(g - 1)
+        fact = factorial(max(2 * g - 2, 0))
+        c = (-1) ** (g + 1) * (2 * g - 1) * bernoulli(2 * g) / factorial(2 * g)
         den = lcm(fact, c.denominator)
         f = den // fact
         nums = [c.numerator * (den // c.denominator)] + [

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction
 from math import comb, factorial
 
@@ -49,3 +50,43 @@ def test_generating_function_matches_sympy():
     for k in range(N + 1):
         c = oracle.coeff(x ** k) * factorial(k)
         assert bernoulli(k) == F(int(c.numerator), int(c.denominator)), k
+
+
+def count_miller_runs(monkeypatch) -> list:
+    """Patch the recurrence where bernoulli and the series layer look it up;
+    the returned list grows by one entry per run."""
+    from curvecount import series
+
+    # the package exports the function under the module's name
+    bernoulli_mod = importlib.import_module("curvecount.bernoulli")
+
+    runs, miller = [], series._miller
+
+    def counted(*args):
+        runs.append(args[-1])
+        return miller(*args)
+
+    monkeypatch.setattr(bernoulli_mod, "_miller", counted)
+    monkeypatch.setattr(series, "_miller", counted)
+    return runs
+
+
+def test_a_walk_to_400_runs_one_recurrence_per_doubling(monkeypatch):
+    from curvecount.bernoulli import _even
+
+    _even.cache_clear()
+    runs = count_miller_runs(monkeypatch)
+    values = [bernoulli(k) for k in range(401)]
+    assert len(runs) <= 9, runs
+    # von Staudt-Clausen: den B_400 is the product of the primes p, p - 1 | 400
+    assert values[400].denominator == 2 * 3 * 5 * 11 * 17 * 41 * 101 * 401
+
+
+def test_the_cover_kernel_runs_no_recurrence_on_a_warm_table(monkeypatch):
+    from curvecount.transforms import _cover_kernel
+
+    bernoulli(2 * 53)
+    runs = count_miller_runs(monkeypatch)
+    _cover_kernel.cache_clear()
+    _cover_kernel(53)
+    assert runs == []

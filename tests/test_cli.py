@@ -310,6 +310,36 @@ def test_config_keys_are_long_option_names(tmp_path, capsys):
     assert "unrecognized arguments: --infile=" in capsys.readouterr().err
 
 
+def test_a_config_line_without_equals_names_file_and_line(tmp_path, capsys):
+    cfg = write(tmp_path / "cc.conf", "gmax = 2\n# note\n--bogus line\n")
+    assert main(["--config", cfg, "bounds", "check", "corollary"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cfg}:3: expected key = value\n"
+
+
+@pytest.mark.parametrize("window", ["1", "abc", "1:x", ":5"])
+def test_a_bad_qwindow_names_the_option_and_its_form(tmp_path, capsys,
+                                                     window):
+    src = write(tmp_path / "gv.csv", "g,d,value\n0,1,2875\n")
+    out = tmp_path / "pt.csv"
+    assert main(["transform", "gv2pt", "--in", src, "--out", str(out),
+                 "--dmax", "1", "--qwindow", window]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --qwindow expects n_min:n_max"), err
+    assert repr(window) in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n,d,b", [("5", "4", "-1/2"), ("5", "20", "-3/2")])
+def test_a_fractional_negative_b_may_be_a_separate_token(tmp_path, n, d, b):
+    joined, split = tmp_path / "joined.csv", tmp_path / "split.csv"
+    argv = ["walls", "candidates", "--n", n, "--d", d]
+    assert main(argv + [f"--b={b}", "--out", str(joined)]) == 0
+    assert main(argv + ["--b", b, "--out", str(split)]) == 0
+    assert split.read_bytes() == joined.read_bytes()
+
+
 def test_no_partial_output_on_failure(tmp_path):
     src = write(tmp_path / "gv.csv", "g,d,value\n3,1,1\n")
     out = tmp_path / "pt.csv"
