@@ -74,19 +74,22 @@ class BoundReport:
         return math.floor(self.bound)
 
 
-def bps_threshold(d: int) -> Fraction:
-    """B(d) = (d^2 + 5d + 10)/10, the quintic genus-vanishing threshold."""
+def _threshold_numerator(d: int) -> int:
+    """10 B(d) = d^2 + 5d + 10, the one home of the threshold law."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    return Fraction(d * d + 5 * d + 10, 10)
+    return d * d + 5 * d + 10
+
+
+def bps_threshold(d: int) -> Fraction:
+    """B(d) = (d^2 + 5d + 10)/10, the quintic genus-vanishing threshold."""
+    return Fraction(_threshold_numerator(d), 10)
 
 
 def bps_threshold_floor(d: int) -> int:
     """floor(B(d)): for an integer g, g > B(d) iff g > floor(B(d)), and
     n < 1 - B(d) iff n < 1 - floor(B(d)), so the vanishing laws compare ints."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return (d * d + 5 * d + 10) // 10
+    return _threshold_numerator(d) // 10
 
 
 def _at_least(**limits: tuple[int, int]) -> None:

@@ -4,6 +4,8 @@ Subcommands: transform (gv2gw, gw2gv, gv2pt, pt2dt), bounds (table, check),
 walls (candidates), bcov (plan, gap-solve), validate.  All data files carry
 exact "p/q" strings; identical configuration and inputs produce byte-identical
 outputs.  Exit codes: 0 clean, 1 usage/IO/parse error, 2 validation failure.
+``walls``, ``svg`` and ``bcov`` are imported inside the one handler that
+uses each, so the other subcommands never load them.
 ``_atomic_write`` is the one file writer: it writes a temporary sibling and
 renames it atomically, so failures never leave partial files.  Table text
 comes from ``tables``.  An optional config file of ``key = value`` lines
@@ -21,11 +23,9 @@ import tempfile
 from functools import cache
 from pathlib import Path
 
-from . import bcov as bcov_mod
 from . import bounds as bounds_mod
 from . import transforms
 from .series import LaurentSeries, WindowError, format_rational, parse_rational
-from .svg import render_candidates_svg
 from .tables import (
     TruncationError,
     _build_table,
@@ -34,7 +34,6 @@ from .tables import (
     table_to_csv,
     table_to_json,
 )
-from .walls import enumerate_destabilizers
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -334,6 +333,9 @@ def _run_bounds(args) -> int:
 
 
 def _run_walls(args) -> int:
+    from .svg import render_candidates_svg
+    from .walls import enumerate_destabilizers
+
     _require(args, "n", "d", "b")
     cands = enumerate_destabilizers(args.n, args.d, parse_rational(args.b))
     lines = ["k,d1,center_b,radius_sq"]
@@ -348,6 +350,8 @@ def _run_walls(args) -> int:
 
 
 def _run_bcov(args) -> int:
+    from . import bcov as bcov_mod
+
     _require(args, "g")
     g = args.g
     if args.action == "plan":

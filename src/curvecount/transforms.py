@@ -46,7 +46,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from .bernoulli import bernoulli
-from .bounds import _at_least
+from .bounds import _at_least, bps_threshold_floor
 from .series import BivariateSeries, LaurentSeries, WindowError, _numerators
 from .tables import GvTable, GwTable, PtTable, TruncationError
 
@@ -222,8 +222,10 @@ def gv_to_pt_connected(gv: GvTable, d_out: int,
                        q_window: tuple[int, int]) -> BivariateSeries:
     """Connected stable-pair series, t-layers 0..d_out on the given q-window.
 
-    The table is taken as complete data (the declared window bounds its
-    support).  Raises WindowError rather than clipping any leading exponent.
+    Genera above the table's window are unknown, and they are zero only by
+    the vanishing theorem n_{g,d} = 0 for g > B(d).  B grows with d, so the
+    table must reach g_max >= floor(B(d_out)); otherwise TruncationError.
+    Raises WindowError rather than clipping any leading exponent.
     """
     n_min, n_max = q_window
     if n_min > n_max:
@@ -231,6 +233,10 @@ def gv_to_pt_connected(gv: GvTable, d_out: int,
     if d_out > gv.d_max:
         raise TruncationError(
             f"d_out={d_out} exceeds the input window d<={gv.d_max}")
+    if d_out >= 1 and gv.g_max < bps_threshold_floor(d_out):
+        raise TruncationError(
+            f"g_max={gv.g_max} is below floor(B({d_out}))="
+            f"{bps_threshold_floor(d_out)}: the genera above it are unknown")
     layers = [LaurentSeries.zero("q", n_max)]
     for d in range(1, d_out + 1):
         terms = _pt_block_terms(gv, d, n_min, n_max)

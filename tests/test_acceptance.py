@@ -22,6 +22,7 @@ from curvecount.bcov import (
 from curvecount.bounds import (
     bound_function_properties,
     bps_threshold,
+    bps_threshold_floor,
     castelnuovo_corollary_check,
     extremal_gv,
     extremal_moduli_euler,
@@ -102,7 +103,7 @@ def test_criterion_04_pt_expansion_law():
     done = _timed(10.0)
     for g in range(0, 6):
         for r in range(1, 5):
-            gv = GvTable({(g, 1): F(1)}, max(g, 1), r)
+            gv = GvTable({(g, 1): F(1)}, max(g, bps_threshold_floor(r)), r)
             Fp = gv_to_pt_connected(gv, r, (-30, 30))
             block = Fp.per_degree[r]
             pref = F(1 if (g - 1) % 2 == 0 else -1, r)

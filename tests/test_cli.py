@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -210,7 +214,7 @@ def test_written_tables_are_the_formatter_text(tmp_path):
     assert gw.read_text() == table_to_csv(read_table_csv(str(gw), "gw"))
     pt = tmp_path / "pt.json"
     assert main(["transform", "gv2pt", "--in", src, "--out", str(pt),
-                 "--dmax", "3", "--qwindow", "-4:6"]) == 0
+                 "--gmax", "3", "--dmax", "3", "--qwindow", "-4:6"]) == 0
     assert pt.read_text() == table_to_json(read_table_json(str(pt)))
 
 
@@ -347,6 +351,20 @@ def test_no_partial_output_on_failure(tmp_path):
     rc = main(["transform", "gv2pt", "--in", src, "--out", str(out),
                "--dmax", "1", "--qwindow", "-1:5"])
     assert rc == 1
+    assert not out.exists()
+
+
+def test_gv2pt_refuses_a_window_below_the_threshold(tmp_path, capsys):
+    # floor(B(3)) = 3: with --gmax 0 the d = 3 layer would take n_{1,3} = 0
+    src = write(tmp_path / "gv.csv",
+                "g,d,value\n0,1,2875\n0,2,609250\n0,3,317206375\n")
+    out = tmp_path / "pt.csv"
+    rc = main(["transform", "gv2pt", "--in", src, "--out", str(out),
+               "--gmax", "0", "--dmax", "3", "--qwindow", "1:5"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == ("error: g_max=0 is below floor(B(3))=3: "
+                   "the genera above it are unknown\n")
     assert not out.exists()
 
 
@@ -697,7 +715,7 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
             ["bounds", "check", "corollary", "--gmax", "5"],
             ["transform", "gv2gw", "--in", src, "--out", str(out / "x.csv"),
              "--gmax", "1", "--dmax", "2", "--qwindow", "0:4"],
-            ["transform", "gv2pt", "--in", src, "--dmax", "2",
+            ["transform", "gv2pt", "--in", src, "--gmax", "2", "--dmax", "2",
              "--qwindow", "-2:6", "--out", str(out / "pt.json")],
             ["walls", "candidates", "--n", "5", "--d", "20", "--b", "-1"],
         ]
@@ -721,3 +739,28 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
     assert seen[1][2].startswith("usage: curvecount transform")
     assert sorted(files) == ["gv.csv", "gw.csv", "pt.json"]
     assert session(tmp_path / "fresh", fresh=True) == (seen, files)
+
+
+def test_cli_imports_walls_svg_and_bcov_only_for_their_subcommands(tmp_path):
+    """A fresh `import curvecount.cli` loads no module that only one
+    subcommand uses; `bcov plan` and `walls candidates --emit-svg` still
+    run, each loading its own modules."""
+    script = """if True:
+        import sys
+        from curvecount import cli
+        deferred = ("curvecount.walls", "curvecount.svg", "curvecount.bcov")
+        assert not set(deferred) & set(sys.modules), sorted(sys.modules)
+        out, svg = sys.argv[1:]
+        assert cli.main(["bcov", "plan", "--g", "5", "--out", out]) == 0
+        assert cli.main(["walls", "candidates", "--n", "5", "--d", "20",
+                         "--b", "-2", "--emit-svg", svg]) == 0
+        assert set(deferred) <= set(sys.modules)
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    plan, svg = tmp_path / "plan.json", tmp_path / "walls.svg"
+    done = subprocess.run([sys.executable, "-c", script, str(plan), str(svg)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(plan.read_text())["g"] == 5
+    assert svg.read_text().startswith("<svg")

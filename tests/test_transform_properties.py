@@ -18,7 +18,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from curvecount.bounds import bps_threshold  # noqa: E402
+from curvecount.bounds import bps_threshold, bps_threshold_floor  # noqa: E402
 from curvecount.series import BivariateSeries, LaurentSeries  # noqa: E402
 from curvecount.tables import GvTable, GwTable, PtTable  # noqa: E402
 from curvecount.transforms import (  # noqa: E402
@@ -222,10 +222,12 @@ def test_gv_gw_round_trip_matches_the_fraction_loops(gv, data):
 
 @st.composite
 def small_gv_tables(draw) -> GvTable:
-    """Rational GV data on any cell of a window g <= 4, d <= 4."""
+    """Rational GV data on any cell of g <= 4, d <= 4, in a window that
+    reaches floor(B(d_max)), as gv_to_pt_connected requires."""
     g_max, d_max = draw(st.integers(0, 4)), draw(st.integers(1, 4))
     return GvTable(cell_values(draw, g_max, d_max, st.fractions(
-        min_value=-50, max_value=50, max_denominator=6)), g_max, d_max)
+        min_value=-50, max_value=50, max_denominator=6)),
+        max(g_max, bps_threshold_floor(d_max)), d_max)
 
 
 def reference_pt_layer(gv: GvTable, d: int, n_max: int) -> dict:

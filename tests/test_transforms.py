@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvecount.bounds import bps_threshold, extremal_gv
+from curvecount.bounds import bps_threshold, bps_threshold_floor, extremal_gv
 from curvecount.series import (BivariateSeries, LaurentSeries, WindowError,
                                _numerators)
 from curvecount.tables import GvTable, GwTable, PtTable, TruncationError
@@ -292,7 +292,7 @@ def test_integrality_check():
 # -- connected PT series -----------------------------------------------
 
 def test_rational_degree_one_block():
-    gv = GvTable({(0, 1): F(1)}, 0, 1)
+    gv = GvTable({(0, 1): F(1)}, 1, 1)  # g_max = floor(B(1))
     Fp = gv_to_pt_connected(gv, 1, (-5, 6))
     block = Fp.per_degree[1]
     # -(-q)/(1-(-q))^2 = q - 2q^2 + 3q^3 - 4q^4 + ...
@@ -308,7 +308,8 @@ def test_single_entry_leading_law():
     for g in range(0, 6):
         for r in range(1, 5):
             d_prime = 3
-            gv = GvTable({(g, d_prime): c}, max(g, 0), d_prime * r)
+            gv = GvTable({(g, d_prime): c},
+                         max(g, bps_threshold_floor(d_prime * r)), d_prime * r)
             Fp = gv_to_pt_connected(gv, d_prime * r, (-40, 40))
             block = Fp.per_degree[d_prime * r]
             lead_u = r * (1 - g) if g >= 1 else r
@@ -323,8 +324,18 @@ def test_single_entry_leading_law():
 
 
 def test_empty_gv_gives_zero_connected():
-    Fp = gv_to_pt_connected(GvTable({}, 2, 3), 3, (-5, 5))
+    Fp = gv_to_pt_connected(GvTable({}, 3, 3), 3, (-5, 5))  # floor(B(3))
     assert all(layer.is_zero for layer in Fp.per_degree)
+
+
+def test_gv_to_pt_needs_the_window_to_reach_the_threshold():
+    # a genus <= 1 table vouches for every genus only at d = 1: B(2) = 2.4
+    gv = GvTable({(0, 1): F(2875), (0, 2): F(609250)}, 1, 2)
+    assert gv_to_pt_connected(gv, 1, (-2, 5)).per_degree[1].coefficient(1) \
+        == 2875
+    with pytest.raises(TruncationError,
+                       match=r"g_max=1 is below floor\(B\(2\)\)=2"):
+        gv_to_pt_connected(gv, 2, (-2, 5))
 
 
 def test_window_clipping_is_an_error():
