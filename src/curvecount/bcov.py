@@ -20,12 +20,11 @@ against Delta(delta) without deriving it.  The frames delta(q),
 Delta(delta) and the low-degree data are external inputs; only the solves
 live here.
 
-The bookkeeping is O(1) in g.  B(d) = (d^2+5d+10)/10 < g is (2d+5)^2 <
-40g - 15, so D(g) = max(0, (isqrt(40g-16) - 5) // 2); of K = floor((2g-2)/5)
-initial conditions E = min(D(g), K) are fixed, the degrees E+1..K missing.
-B strictly increases, so at most one d has B(d) = g: d = (r-5)/2 when
-r = isqrt(40g-15) has r^2 = 40g - 15, a multiple of 5 whose extremal GV
-value supplies that condition.
+The bookkeeping is O(1) in g and lives in ``bounds``: of the
+K = floor((2g-2)/5) initial conditions, the E = min(D(g), K) below the
+threshold are fixed and the degrees E+1..K are missing.  Only d = D(g) + 1
+can have B(d) = g; it is then a multiple of 5 whose extremal GV value
+supplies that condition.
 """
 
 from __future__ import annotations
@@ -34,10 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from math import comb, isqrt
+from math import comb
 
 from .bernoulli import bernoulli
-from .bounds import extremal_gv, max_vanishing_degree
+from .bounds import _deficit, bps_threshold, extremal_gv, max_vanishing_degree
 from .series import (
     LaurentSeries,
     WindowError,
@@ -283,14 +282,6 @@ class CastelnuovoSolveResult:
         return not self.unresolved
 
 
-def _deficit(g: int, Dg: int) -> tuple[int, int, range]:
-    """(K, E, missing degrees E+1..K), K = floor((2g-2)/5), E = min(Dg, K)."""
-    _check_genus(g)
-    K = (2 * g - 2) // 5
-    E = min(Dg, K)
-    return K, E, range(E + 1, K + 1)
-
-
 def castelnuovo_solve(g: int, known_poly_q: LaurentSeries, Dg: int,
                       supplied_gw: list[Fraction]) -> CastelnuovoSolveResult:
     """Fix the middle coefficients from degree <= Dg data.
@@ -303,6 +294,7 @@ def castelnuovo_solve(g: int, known_poly_q: LaurentSeries, Dg: int,
     the K - E missing initial conditions leave the system underdetermined
     and the result reports them as unresolved.
     """
+    _check_genus(g)
     K, E, missing = _deficit(g, Dg)
     if Dg < 0:
         raise ValueError(f"max vanishing degree must be >= 0, got {Dg}")
@@ -382,10 +374,9 @@ def resolution_plan(g: int) -> ResolutionPlan:
     _check_genus(g)
     Dg = max_vanishing_degree(g)
     K, E, missing = _deficit(g, Dg)
-    r = isqrt(40 * g - 15)
-    d = (r - 5) // 2  # B(d) = g exactly when r^2 = 40g - 15
+    d = Dg + 1  # B strictly increases: no other degree can have B(d) = g
     supplements = ((d, extremal_gv(d // 5)),) \
-        if r * r == 40 * g - 15 and d in missing else ()
+        if d in missing and bps_threshold(d) == g else ()
     if not missing:
         status = "closed"
     elif supplements and K - E == 1:

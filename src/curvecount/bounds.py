@@ -43,8 +43,7 @@ class ThreefoldProfile:
     kind: str = KIND_GENERAL
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
+        _at_least(degree=(self.degree, 1))
         if self.kind == KIND_QUINTIC and (self.degree, self.index) != (5, 0):
             raise ValueError("quintic profile requires n=5, i=0")
         if self.kind == KIND_HYPERSURFACE:
@@ -106,8 +105,7 @@ def _genus_bound(n: int, i: int, m: int, d: int) -> Fraction:
 
 def genus_bound_general(profile: ThreefoldProfile, d: int) -> BoundReport:
     """d^2/(2n) + ((1-i)/2) d + 1."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _at_least(d=(d, 1))
     return BoundReport(d, _genus_bound(profile.degree, profile.index, 1, d))
 
 
@@ -115,8 +113,7 @@ def genus_bound_hypersurface(n: int, d: int) -> BoundReport:
     """d^2/(2n) + ((n-4)/2) d + 1, degree-n hypersurface in P^4."""
     if n > 5:
         raise ValueError("hypersurface bound needs n <= 5")
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be >= 1")
+    _at_least(n=(n, 1), d=(d, 1))
     return BoundReport(d, _genus_bound(n, 5 - n, 1, d))
 
 
@@ -124,8 +121,7 @@ def genus_bound_nonhyperplane(n: int, d: int) -> BoundReport:
     """d^2/(2n) + (n/2 - 1/n - 2) d + 2 + 1/n, for curves off hyperplane sections."""
     if n > 5:
         raise ValueError("non-hyperplane bound needs n <= 5")
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be >= 1")
+    _at_least(n=(n, 1), d=(d, 1))
     b = (Fraction(d * d, 2 * n)
          + (Fraction(n, 2) - Fraction(1, n) - 2) * d + 2 + Fraction(1, n))
     return BoundReport(d, b)
@@ -133,10 +129,7 @@ def genus_bound_nonhyperplane(n: int, d: int) -> BoundReport:
 
 def genus_bound_divisor(n: int, i: int, m: int, d: int) -> BoundReport:
     """d^2/(2nm) + ((m-i)/2) d + 1, for curves on a degree-m divisor."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be >= 1")
+    _at_least(m=(m, 1), n=(n, 1), d=(d, 1))
     return BoundReport(d, _genus_bound(n, i, m, d))
 
 
@@ -152,8 +145,7 @@ def extremal_gv(m: int) -> int:
     m >= 2: sign (-1)^(C(m+3,3)-C(m-2,3)+3) times 5(C(m+3,3)-C(m-2,3)),
     with C(m-2,3) := 0 when m < 5.  m = 1 is the special value 10.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _at_least(m=(m, 1))
     if m == 1:
         return 10
     h0 = _h0_quintic_surface(m)
@@ -166,8 +158,7 @@ def extremal_moduli_euler(m: int) -> tuple[int, int]:
     A projective-space bundle over P^4: euler = 5 * h^0(D, O_D(m)) and
     dim = euler/5 + 3.  Independent route: (-1)^dim * euler = extremal_gv(m).
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    _at_least(m=(m, 2))
     h0 = _h0_quintic_surface(m)
     return 5 * h0, h0 + 3
 
@@ -184,23 +175,34 @@ class CorollaryReport:
         return not self.violations
 
 
-def castelnuovo_corollary_check(g_max: int = 53) -> CorollaryReport:
-    """Scan g <= g_max: g > B(d) must hold for 1 <= d <= floor((2g-2)/5).
+def _deficit(g: int, Dg: int) -> tuple[int, int, range]:
+    """(K, E, missing degrees E+1..K), K = floor((2g-2)/5), E = min(Dg, K).
 
-    Exact-equality cases are reported separately; for g_max = 53 the single
-    equality is (g, d) = (51, 20) and there are no strict violations.
+    At genus g the degrees 1..K need g > B(d); with Dg = D(g) the first E
+    of them have it and the missing ones have B(d) >= g.
+    """
+    K = (2 * g - 2) // 5
+    E = min(Dg, K)
+    return K, E, range(E + 1, K + 1)
+
+
+def castelnuovo_corollary_check(g_max: int = 53) -> CorollaryReport:
+    """Check g <= g_max: g > B(d) must hold for 1 <= d <= floor((2g-2)/5).
+
+    Below genus 2 no degree d >= 1 is in range.  From genus 2 on, the degrees
+    that ``_deficit`` leaves missing are the ones with B(d) >= g: exact
+    equalities are reported apart from strict violations.  For g_max = 53 the
+    single equality is (g, d) = (51, 20) and there are no strict violations.
     """
     _at_least(g_max=(g_max, 0))
     equalities: list[tuple[int, int]] = []
     violations: list[tuple[int, int]] = []
     checked = 0
-    for g in range(0, g_max + 1):
-        for d in range(1, (2 * g - 2) // 5 + 1):
-            checked += 1
-            b = bps_threshold(d)
-            if g > b:
-                continue
-            (equalities if g == b else violations).append((g, d))
+    for g in range(2, g_max + 1):
+        K, _, missing = _deficit(g, max_vanishing_degree(g))
+        checked += K
+        for d in missing:
+            (equalities if bps_threshold(d) == g else violations).append((g, d))
     return CorollaryReport(g_max, checked, tuple(equalities), tuple(violations))
 
 
@@ -273,6 +275,5 @@ def max_vanishing_degree(g: int) -> int:
     Strict inequality is forced by the (g, d) = (51, 20) boundary case:
     B(20) = 51 exactly, so D(51) = 19.
     """
-    if g < 1:
-        raise ValueError("g must be >= 1")
+    _at_least(g=(g, 1))
     return max(0, (math.isqrt(40 * g - 16) - 5) // 2)

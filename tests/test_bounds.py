@@ -20,6 +20,7 @@ from curvecount.bounds import (
     genus_bound_nonhyperplane,
     max_vanishing_degree,
 )
+from curvecount.bcov import resolution_plan
 from curvecount.tables import GvTable, PtTable
 
 F = Fraction
@@ -140,6 +141,39 @@ def test_corollary_check():
     assert (54, 21) in rep54.violations
 
 
+def reference_corollary(g_max):
+    """The direct scan: every genus g <= g_max against every degree
+    1 <= d <= floor((2g-2)/5), in Fractions."""
+    equalities, violations, checked = [], [], 0
+    for g in range(0, g_max + 1):
+        for d in range(1, (2 * g - 2) // 5 + 1):
+            checked += 1
+            b = bps_threshold(d)
+            if g > b:
+                continue
+            (equalities if g == b else violations).append((g, d))
+    return checked, tuple(equalities), tuple(violations)
+
+
+@pytest.mark.parametrize("g_max", [0, 1, 2, 3, 4, 53, 54, 76, 400])
+def test_corollary_check_matches_the_fraction_scan(g_max):
+    rep = castelnuovo_corollary_check(g_max)
+    assert (rep.checked, rep.equalities, rep.violations) \
+        == reference_corollary(g_max)
+
+
+def test_corollary_and_plan_read_one_bookkeeping():
+    """At each genus the corollary's equalities are the plan's extremal
+    supplements, and its equalities and violations the missing degrees."""
+    rep = castelnuovo_corollary_check(400)
+    for g in range(2, 401):
+        plan = resolution_plan(g)
+        equal = [d for h, d in rep.equalities if h == g]
+        bad = [d for h, d in rep.violations if h == g]
+        assert equal == [d for d, _ in plan.supplements], g
+        assert sorted(equal + bad) == list(plan.missing_degrees), g
+
+
 def test_bound_function_properties():
     rep = bound_function_properties(30, 30, 4)
     assert rep.passed
@@ -192,3 +226,26 @@ def test_bound_report_floor():
 def test_checks_reject_an_empty_range(check, args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         check(*args)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ThreefoldProfile(0, 1), "degree must be >= 1, got 0"),
+    (lambda: genus_bound_general(ThreefoldProfile.quintic(), 0),
+     "d must be >= 1, got 0"),
+    (lambda: genus_bound_hypersurface(0, 0), "n must be >= 1, got 0"),
+    (lambda: genus_bound_hypersurface(5, -2), "d must be >= 1, got -2"),
+    (lambda: genus_bound_nonhyperplane(-1, 3), "n must be >= 1, got -1"),
+    (lambda: genus_bound_nonhyperplane(4, 0), "d must be >= 1, got 0"),
+    (lambda: genus_bound_divisor(0, 0, 0, 0), "m must be >= 1, got 0"),
+    (lambda: genus_bound_divisor(0, 0, 1, 0), "n must be >= 1, got 0"),
+    (lambda: genus_bound_divisor(5, 0, 1, 0), "d must be >= 1, got 0"),
+    (lambda: extremal_gv(0), "m must be >= 1, got 0"),
+    (lambda: extremal_moduli_euler(1), "m must be >= 2, got 1"),
+    (lambda: max_vanishing_degree(0), "g must be >= 1, got 0"),
+], ids=["profile", "general", "hypersurface_n", "hypersurface_d",
+        "nonhyperplane_n", "nonhyperplane_d", "divisor_m", "divisor_n",
+        "divisor_d", "extremal_gv", "extremal_moduli_euler",
+        "max_vanishing_degree"])
+def test_range_checks_name_the_value(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

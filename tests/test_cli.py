@@ -642,6 +642,14 @@ def test_bounds_commands_reject_an_empty_range(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+def test_bounds_table_rejects_a_profile_of_degree_zero(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["bounds", "table", "--n", "0", "--i", "0", "--dmax", "2",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: degree must be >= 1, got 0\n"
+    assert not out.exists()
+
+
 # an argv each command accepts once --in (and for transforms --out) is added
 _BASE_ARGV = {
     "gv2gw": ["transform", "gv2gw", "--gmax", "1", "--dmax", "1"],
