@@ -108,7 +108,6 @@ class HolomorphicAmbiguity:
     @classmethod
     def blank(cls, g: int) -> HolomorphicAmbiguity:
         """Regularity zeros filled in; everything else unknown."""
-        _check_genus(g)
         coeffs: list[Fraction | None] = [None] * (3 * g - 2)
         status = [STATUS_UNKNOWN] * (3 * g - 2)
         for i in regularity_indices(g):

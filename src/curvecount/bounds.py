@@ -135,8 +135,7 @@ def genus_bound_divisor(n: int, i: int, m: int, d: int) -> BoundReport:
 
 def _h0_quintic_surface(m: int) -> int:
     """h^0(D, O_D(m)) for a quintic surface D in P^3 (binomial difference)."""
-    low = comb(m - 2, 3) if m - 2 >= 3 else 0
-    return comb(m + 3, 3) - low
+    return comb(m + 3, 3) - comb(m - 2, 3)
 
 
 def extremal_gv(m: int) -> int:

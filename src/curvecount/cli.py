@@ -25,9 +25,8 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import transforms
-from .series import LaurentSeries, WindowError, format_rational, parse_rational
+from .series import LaurentSeries, format_rational, parse_rational
 from .tables import (
-    TruncationError,
     _build_table,
     read_table_csv,
     read_table_json,
@@ -152,6 +151,8 @@ _READS = {
     "pt2dt": {"dmax", "qwindow", "dt0"},
     "validate --kind gv": {"gmax", "dmax", "integrality", "castelnuovo"},
     "validate --kind pt": {"dmax", "castelnuovo"},
+    "bounds check corollary": {"gmax"},
+    "bounds check properties": {"dmax", "rmax", "parts"},
 }
 
 
@@ -189,10 +190,11 @@ def build_parser() -> _Parser:
     bt.add_argument("--out", dest="outfile", default=None)
     bc = bd_sub.add_parser("check")
     bc.add_argument("what", choices=["corollary", "properties"])
-    bc.add_argument("--gmax", type=int, default=53)
-    bc.add_argument("--dmax", type=int, default=30)
-    bc.add_argument("--rmax", type=int, default=30)
-    bc.add_argument("--parts", type=int, default=4)
+    # defaults applied in _run_bounds, so _reject_unread sees given values only
+    bc.add_argument("--gmax", type=int, default=None)
+    bc.add_argument("--dmax", type=int, default=None)
+    bc.add_argument("--rmax", type=int, default=None)
+    bc.add_argument("--parts", type=int, default=None)
     bc.add_argument("--out", dest="outfile", default=None)
 
     wl = sub.add_parser("walls", help="destabilizer candidates")
@@ -305,6 +307,10 @@ def _run_bounds(args) -> int:
                 f"{format_rational(b)},{math.floor(b)}" for b in bs]))
         _write_out(args.outfile, "\n".join(lines) + "\n")
         return EXIT_OK
+    _reject_unread(args, f"bounds check {args.what}")
+    for name, default in ("gmax", 53), ("dmax", 30), ("rmax", 30), ("parts", 4):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.what == "corollary":
         rep = bounds_mod.castelnuovo_corollary_check(args.gmax)
         payload = {
@@ -418,11 +424,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             args = parser.parse_args(_with_config(argv, args))
         return _RUNNERS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError, ZeroDivisionError, WindowError,
-            TruncationError, KeyError) as exc:
+    except (_UsageError, OSError, ValueError, ZeroDivisionError,
+            KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

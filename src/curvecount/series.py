@@ -169,9 +169,7 @@ class LaurentSeries:
             trunc_order = exp
         if exp > trunc_order:
             raise ValueError("monomial exponent above truncation order")
-        cs = [Fraction(0)] * (trunc_order - exp + 1)
-        cs[0] = _coerce(coeff)
-        return cls(variable, exp, cs, trunc_order)
+        return cls.from_dict(variable, {exp: coeff}, trunc_order)
 
     @classmethod
     def from_dict(cls, variable: str, terms: dict[int, Scalar],
@@ -273,9 +271,7 @@ class LaurentSeries:
         """Forget knowledge above ``trunc_order`` (must not exceed current)."""
         if trunc_order > self.trunc_order:
             raise WindowError("cannot extend a window by truncation")
-        lo = min(self.min_exp, trunc_order + 1)
-        cs = [self.coefficient(e) for e in range(lo, trunc_order + 1)]
-        return LaurentSeries(self.variable, lo, cs, trunc_order)
+        return self + LaurentSeries.zero(self.variable, trunc_order)
 
     # -- inversion / log / exp ----------------------------------------
 

@@ -177,10 +177,10 @@ def integrality_check(gv: GvTable) -> list[tuple[tuple[int, int], Fraction]]:
     return [(key, v) for key, v in gv.sorted_items() if v.denominator != 1]
 
 
-def _pt_block_terms(gv: GvTable, d: int, n_min: int, n_max: int
-                    ) -> dict[int, Fraction]:
-    """u-exponent -> coefficient of the t^d layer of the connected series,
-    each a sum of numerators over den = lcm(r den(n)) of the contributions."""
+def _pt_layer(gv: GvTable, d: int, n_min: int, n_max: int) -> LaurentSeries:
+    """The t^d layer of the connected series as a q-series: its u-exponent
+    terms summed as numerators over den = lcm(r den(n)) of the
+    contributions, then read in q = -u, (-1)^e on the coefficient of u^e."""
     parts = []
     for r in range(1, d + 1):
         if d % r:
@@ -208,14 +208,8 @@ def _pt_block_terms(gv: GvTable, d: int, n_min: int, n_max: int
         while b and (e := lead + r * j) <= n_max:
             terms[e] = terms.get(e, 0) + pref * b
             b, j = b * (j + 2 - 2 * gp) // (j + 1), j + 1
-    return {e: Fraction(x, den) for e, x in terms.items()}
-
-
-def _u_terms_to_q_series(terms: dict[int, Fraction],
-                         n_max: int) -> LaurentSeries:
-    """Convert u = -q exponent data to a q-series: coefficient picks (-1)^e."""
-    qterms = {e: (c if e % 2 == 0 else -c) for e, c in terms.items()}
-    return LaurentSeries.from_dict("q", qterms, n_max)
+    return LaurentSeries.from_dict("q", {
+        e: Fraction(-x if e % 2 else x, den) for e, x in terms.items()}, n_max)
 
 
 def gv_to_pt_connected(gv: GvTable, d_out: int,
@@ -237,11 +231,8 @@ def gv_to_pt_connected(gv: GvTable, d_out: int,
         raise TruncationError(
             f"g_max={gv.g_max} is below floor(B({d_out}))="
             f"{bps_threshold_floor(d_out)}: the genera above it are unknown")
-    layers = [LaurentSeries.zero("q", n_max)]
-    for d in range(1, d_out + 1):
-        terms = _pt_block_terms(gv, d, n_min, n_max)
-        layers.append(_u_terms_to_q_series(terms, n_max))
-    return BivariateSeries(layers)
+    return BivariateSeries([LaurentSeries.zero("q", n_max)] + [
+        _pt_layer(gv, d, n_min, n_max) for d in range(1, d_out + 1)])
 
 
 def _pt_layers(pt: PtTable) -> list[LaurentSeries]:

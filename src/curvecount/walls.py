@@ -226,8 +226,10 @@ def enumerate_destabilizers(n: int, d: int,
     """All (k, d1) allowed at tilt parameter b with -sqrt(d/n) <= b < 0.
 
     Constraints: ceil(b) <= -k <= -1, 1 <= d1 < d - k^2 n / 2, and
-    d1 < d + k^2 n / 2 - k sqrt(2nd), the last decided exactly by squaring:
-    with M := 2(d - d1) + k^2 n, > 0 by the second, it reads M^2 > 8 n d k^2.
+    d1 < d + k^2 n / 2 - k sqrt(2nd).  The range of b gives k^2 <= d/n,
+    and then the third implies the second.  The third is decided
+    exactly by squaring: with M := 2(d - d1) + k^2 n, > 0 as d1 <= d, it
+    reads M^2 > 8 n d k^2.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
@@ -238,8 +240,6 @@ def enumerate_destabilizers(n: int, d: int,
     k_top = -math.ceil(b)
     for k in range(1, k_top + 1):
         for d1 in range(1, d + 1):
-            if 2 * (d - d1) <= k * k * n:  # d1 < d - k^2 n / 2, exactly
-                break
             M = 2 * (d - d1) + k * k * n
             if M * M <= 8 * n * d * k * k:
                 break

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import time
 from fractions import Fraction
 from operator import mul
@@ -593,3 +594,24 @@ def test_frame_shared_across_threads():
     for result in results:
         for g, values in result:
             assert values == want[g]
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: HolomorphicAmbiguity.blank(1), ValueError,
+     "ambiguity solves start at genus 2"),
+    (lambda: HolomorphicAmbiguity(2, (None,) * 3, ("unknown",) * 4),
+     ValueError, "need exactly 4 coefficient slots"),
+    (lambda: gap_solve(2, LaurentSeries("Delta", -2, [1], -2),
+                       ConifoldFrame.toy(12)),
+     WindowError, "known terms must be known through Delta^{-1}"),
+    (lambda: gap_solve(2, LaurentSeries.zero("q", 0), ConifoldFrame.toy(12)),
+     ValueError, "known terms must be a series in the flat coordinate"),
+    (lambda: castelnuovo_solve(5, LaurentSeries.zero("q", 5), 5, []),
+     ValueError, "need degree data through q^1"),
+    (lambda: castelnuovo_solve(5, LaurentSeries.zero("q", 0), 5, [0] * 6),
+     WindowError, "known polynomial must be known through q^1"),
+], ids=["blank_genus_1", "slot_count", "known_below_delta_minus_1",
+        "known_not_in_delta", "too_little_data", "known_window_too_short"])
+def test_input_checks_name_the_problem(make, error, message):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        make()

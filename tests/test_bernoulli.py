@@ -90,3 +90,8 @@ def test_the_cover_kernel_runs_no_recurrence_on_a_warm_table(monkeypatch):
     _cover_kernel.cache_clear()
     _cover_kernel(53)
     assert runs == []
+
+
+def test_a_negative_index_is_rejected():
+    with pytest.raises(ValueError, match="^k must be >= 0$"):
+        bernoulli(-1)

@@ -249,3 +249,19 @@ def test_checks_reject_an_empty_range(check, args, message):
 def test_range_checks_name_the_value(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+def test_nonhyperplane_bound_needs_n_at_most_5():
+    with pytest.raises(ValueError, match="^non-hyperplane bound needs n <= 5$"):
+        genus_bound_nonhyperplane(6, 3)
+
+
+def test_bound_function_properties_reports_each_violation(monkeypatch):
+    # B(d) = 2 - 1/d: B(4) - 1 = 3/4 < 2 (B(2) - 1) = 1, and the r = 2 cover
+    # of d = 4 gives (B(4) - 1)/2 + 1 = 11/8 < B(2) = 3/2
+    monkeypatch.setattr("curvecount.bounds.bps_threshold", lambda d: 2 - F(1, d))
+    rep = bound_function_properties(4, 4, 2)
+    assert rep.superadditivity_violations == ((4, (2, 2)),)
+    assert rep.cover_violations == ((4, 2),)
+    assert rep.strictness_violations == ((4, 2),)
+    assert not rep.passed

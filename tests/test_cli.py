@@ -772,3 +772,22 @@ def test_cli_imports_walls_svg_and_bcov_only_for_their_subcommands(tmp_path):
     assert done.returncode == 0, done.stderr
     assert json.loads(plan.read_text())["g"] == 5
     assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("what, flags, config, unread", [
+    ("corollary", ["--gmax", "3", "--dmax", "999", "--rmax", "7",
+                   "--parts", "9"], "", "dmax"),
+    ("properties", ["--gmax", "0", "--dmax", "5"], "", "gmax"),
+    ("corollary", [], "rmax = 7\n", "rmax"),
+], ids=["corollary_flags", "properties_flag", "corollary_config_key"])
+def test_bounds_check_rejects_an_option_it_does_not_read(tmp_path, capsys,
+                                                          what, flags, config,
+                                                          unread):
+    cfg = write(tmp_path / "cc.conf", config)
+    out = tmp_path / "out.json"
+    assert main(["--config", cfg, "bounds", "check", what, *flags,
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bounds check {what} does not read --{unread}\n"
+    assert not out.exists()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -18,6 +19,7 @@ from curvecount.series import (
     series_invert,
     series_log,
     series_mul,
+    series_reversion,
 )
 
 F = Fraction
@@ -274,4 +276,35 @@ def test_json_round_trip():
 def test_one_below_x0_names_the_window(make):
     message = r"^1 is not known on a window ending at x\^-[12]$"
     with pytest.raises(WindowError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: LaurentSeries("q", 0, [1, 2], 3), ValueError,
+     "window [0, 3] needs 4 coefficients, got 2"),
+    (lambda: LaurentSeries("", 0, [1]), ValueError, "empty variable tag"),
+    (lambda: LaurentSeries.monomial("q", 3, 1, 2), ValueError,
+     "monomial exponent above truncation order"),
+    (lambda: LaurentSeries("q", 0, [1, 1]) ** F(1, 2), ValueError,
+     "only integer powers"),
+    (lambda: LaurentSeries("q", 0, [1, 1]).truncate(2), WindowError,
+     "cannot extend a window by truncation"),
+    (lambda: LaurentSeries.zero("q", -1).exp(), WindowError,
+     "exp needs the window to reach exponent 0"),
+    (lambda: series_compose(LaurentSeries("q", -1, [1, 1]),
+                            LaurentSeries("q", 1, [1, 1])), ValueError,
+     "composition target must be a power series"),
+    (lambda: series_compose(LaurentSeries("q", 0, [1, 1]),
+                            LaurentSeries("q", 0, [1, 1])), ValueError,
+     "composition argument needs valuation >= 1"),
+    (lambda: series_reversion(LaurentSeries("q", 2, [1, 1])), ValueError,
+     "reversion needs valuation exactly 1"),
+    (lambda: BivariateSeries([]), ValueError,
+     "need at least the degree-0 layer"),
+], ids=["coefficient_count", "empty_variable", "monomial_above_trunc",
+        "fractional_power", "truncate_past_window", "exp_below_x0",
+        "compose_laurent_target", "compose_valuation_0", "reversion_valuation_2",
+        "bivariate_without_layers"])
+def test_input_checks_name_the_problem(make, error, message):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
         make()

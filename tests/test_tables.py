@@ -176,3 +176,20 @@ def test_negative_windows_are_rejected(make, why):
         make()
     # the smallest windows stay valid
     assert GvTable({}, 0, 1).entries == PtTable({}, 1, (0, 0)).entries == {}
+
+
+def _write_json(path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda tmp: PtTable({}, 1, (3, 2)), ValueError, "empty q_window"),
+    (lambda tmp: read_table_json(_write_json(tmp / "gv.json", {
+        "kind": "gv", "g_max": 1, "d_max": 1, "entries": [[2, 1, "5"]]})),
+     TruncationError, "{tmp}/gv.json: entry (2,1) outside window g<=1, d<=1"),
+], ids=["pt_empty_window", "json_entry_outside_window"])
+def test_input_checks_name_the_problem(tmp_path, make, error, message):
+    message = message.format(tmp=tmp_path)
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        make(tmp_path)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -539,3 +540,19 @@ def test_extremal_value_flows_to_dt_bottom():
     dt0 = LaurentSeries("q", 0, [1] + [F(k % 3) for k in range(1, 56)], 55)
     dt = pt_to_dt(pt, dt0)
     assert dt.value(-50, 20) == top
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: gv_to_pt_connected(GvTable({}, 3, 2), 1, (3, 2)), ValueError,
+     "empty q_window"),
+    (lambda: gv_to_pt_connected(GvTable({}, 3, 2), 3, (0, 4)),
+     TruncationError, "d_out=3 exceeds the input window d<=2"),
+    (lambda: pt_connected_to_table(BivariateSeries([LaurentSeries.zero("q", 3)])),
+     ValueError, "need at least one positive t-degree"),
+    (lambda: pt_to_dt(PtTable({}, 1, (0, 3)), LaurentSeries.one("x", 3)),
+     ValueError, "dt0 must be a series in q"),
+], ids=["gv2pt_empty_window", "gv2pt_d_out_past_window",
+        "no_positive_t_degree", "dt0_not_in_q"])
+def test_input_checks_name_the_problem(make, error, message):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        make()

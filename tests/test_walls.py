@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from curvecount.walls import (
     rank_bound_check,
     slope_tilt,
     twist,
+    walls_nested_or_disjoint,
 )
 
 F = Fraction
@@ -350,3 +352,58 @@ def test_svg_of_no_candidates_draws_only_the_axes():
 def test_enumerate_destabilizers_needs_positive_n_and_d(n, d):
     with pytest.raises(ValueError, match="^n and d must be >= 1$"):
         enumerate_destabilizers(n, d, -1)
+
+
+def reference_destabilizers(n, d, b):
+    """The (k, d1, centre, radius^2) lists of the loop that also breaks on
+    d1 < d - k^2 n / 2 before the squared test."""
+    out = []
+    for k in range(1, -math.ceil(b) + 1):
+        for d1 in range(1, d + 1):
+            if 2 * (d - d1) <= k * k * n:
+                break
+            M = 2 * (d - d1) + k * k * n
+            if M * M <= 8 * n * d * k * k:
+                break
+            wall = ideal_wall_circle(n, d, k, d1)
+            out.append((k, d1, wall.center_b, wall.radius_sq))
+    return out
+
+
+def test_enumeration_matches_the_loop_with_both_breaks():
+    # the grid holds cases with M^2 = 8ndk^2 exactly, (n, d) = (2, 4) first
+    cases = 0
+    for n in range(1, 6):
+        for d in range(1, 21):
+            for b in {F(-p, q) for q in range(1, 7) for p in range(1, 7 * q)
+                      if n * p * p <= d * q * q}:
+                got = [(c.k, c.d1, c.wall.center_b, c.wall.radius_sq)
+                       for c in enumerate_destabilizers(n, d, b)]
+                assert got == reference_destabilizers(n, d, b), (n, d, b)
+                cases += 1
+    assert cases > 2000
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: WallLocus.semicircle(0, 0), "semicircle needs radius_sq > 0"),
+    (lambda: ideal_wall_circle(5, 10, 0, 1), "k must be >= 1"),
+    (lambda: rank_bound_check(5, 10, WallLocus.empty(), torsion_m=1),
+     "the torsion case needs the tilt parameter b"),
+    (lambda: rank_bound_check(5, 10, WallLocus.semicircle(-10, 50)),
+     "wall is not a wall for the ideal-sheaf class"),
+    (lambda: walls_nested_or_disjoint(WallLocus.empty(),
+                                      WallLocus.semicircle(-1, 1)),
+     "nesting is defined for semicircle walls"),
+    (lambda: apex_on_slope_zero_locus(ChernCharacter(QUINTIC, 1, 0, 0, 0),
+                                      WallLocus.vertical(1)),
+     "apex law applies to semicircle walls"),
+    (lambda: apex_on_slope_zero_locus(ChernCharacter(QUINTIC, 0, 0, 1, 0),
+                                      WallLocus.semicircle(-1, 1)),
+     "no slope-zero locus for c0 = c1 = 0"),
+    (lambda: extremal_wall_analysis(0, 5), "n and d must be >= 1"),
+], ids=["semicircle_radius_0", "k_0", "torsion_without_b", "non_ideal_wall",
+        "nesting_non_semicircle", "apex_non_semicircle", "apex_c0_c1_zero",
+        "extremal_n_0"])
+def test_input_checks_name_the_problem(make, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        make()
