@@ -108,12 +108,9 @@ class HolomorphicAmbiguity:
     @classmethod
     def blank(cls, g: int) -> HolomorphicAmbiguity:
         """Regularity zeros filled in; everything else unknown."""
-        coeffs: list[Fraction | None] = [None] * (3 * g - 2)
-        status = [STATUS_UNKNOWN] * (3 * g - 2)
-        for i in regularity_indices(g):
-            coeffs[i] = Fraction(0)
-            status[i] = STATUS_REGULARITY
-        return cls(g, tuple(coeffs), tuple(status))
+        return cls(g, (None,) * (3 * g - 2),
+                   (STATUS_UNKNOWN,) * (3 * g - 2)).with_values(
+            dict.fromkeys(regularity_indices(g), 0), STATUS_REGULARITY)
 
     def with_values(self, values: dict[int, Fraction],
                     status: str) -> HolomorphicAmbiguity:

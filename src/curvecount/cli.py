@@ -7,7 +7,8 @@ outputs.  Exit codes: 0 clean, 1 usage/IO/parse error, 2 validation failure.
 ``walls``, ``svg`` and ``bcov`` are imported inside the one handler that
 uses each, so the other subcommands never load them.
 ``_atomic_write`` is the one file writer: it writes a temporary sibling and
-renames it atomically, so failures never leave partial files.  Table text
+renames it atomically, so failures never leave partial files, and its
+errors name the target path, not the temporary file.  Table text
 comes from ``tables``.  An optional config file of ``key = value`` lines
 (keys are long option names) supplies defaults; explicit flags win.
 """
@@ -50,15 +51,18 @@ class _UsageError(Exception):
 
 
 def _atomic_write(path: str, data: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-curvecount-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".tmp-curvecount-")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from None  # not tmp
         raise
 
 
@@ -79,7 +83,7 @@ def _load(path: str, read):
     """read(path), with "<path>: " before every error that does not name it."""
     try:
         return read(path)
-    except ValueError as exc:  # decoding errors too
+    except (ValueError, RecursionError) as exc:  # bad or too-deep JSON too
         if str(exc).startswith(f"{path}:"):
             raise
         raise ValueError(f"{path}: {exc}") from None
@@ -154,13 +158,23 @@ _READS = {
     "bounds check corollary": {"gmax"},
     "bounds check properties": {"dmax", "rmax", "parts"},
 }
+# Of those, the ones that only state a CSV table's window: a JSON table
+# carries its own, so they are not read for one.
+_CSV_WINDOW = {"gv2pt": {"gmax"}, "pt2dt": {"dmax", "qwindow"},
+               "validate --kind gv": {"gmax", "dmax"},
+               "validate --kind pt": {"dmax"}}
 
 
 def _reject_unread(args, label: str) -> None:
-    for name in sorted(set().union(*_READS.values()) - _READS[label]):
+    reads = _READS[label]
+    if (getattr(args, "infile", None) or "").endswith(".json"):
+        reads = reads - _CSV_WINDOW.get(label, set())
+    for name in sorted(set().union(*_READS.values()) - reads):
         value = getattr(args, name, None)
         if value is not None and value is not False:  # --gmax 0 counts
-            raise _UsageError(f"{label} does not read --{name.replace('_', '-')}")
+            where = " for a JSON table" if name in _READS[label] else ""
+            raise _UsageError(
+                f"{label} does not read --{name.replace('_', '-')}{where}")
 
 
 @cache  # built on first use, once per process: parsing leaves it unchanged

@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 Scalar = Union[int, Fraction, str]
+_ZERO = Fraction(0)  # the one zero of every gap; Fractions are immutable
 
 
 class VariableMismatchError(ValueError):
@@ -179,7 +180,7 @@ class LaurentSeries:
         if not keep:
             return cls.zero(variable, trunc_order)
         lo = min(keep)
-        cs = [keep.get(e, Fraction(0)) for e in range(lo, trunc_order + 1)]
+        cs = [keep.get(e, _ZERO) for e in range(lo, trunc_order + 1)]
         return cls(variable, lo, cs, trunc_order)
 
     # -- basic queries -----------------------------------------------
@@ -196,7 +197,7 @@ class LaurentSeries:
                 f"coefficient of {self.variable}^{exp} is unknown "
                 f"(window ends at {self.trunc_order})")
         if exp < self.min_exp:
-            return Fraction(0)
+            return _ZERO
         return self.coeffs[exp - self.min_exp]
 
     def terms(self) -> list[tuple[int, Fraction]]:
@@ -219,8 +220,7 @@ class LaurentSeries:
         return LaurentSeries(self.variable, lo, cs, trunc)
 
     def __neg__(self) -> LaurentSeries:
-        return LaurentSeries(self.variable, self.min_exp,
-                             [-c for c in self.coeffs], self.trunc_order)
+        return self.scale(-1)
 
     def __sub__(self, other: LaurentSeries) -> LaurentSeries:
         return self + (-other)
@@ -418,10 +418,10 @@ def _exp_log_terms(f: Sequence[LaurentSeries], sign: int
     sum_{0<k<n} (k/n) a_k b_{n-k} with (a, b) = (f, g) for exp, (g, f) for log.
 
     g_n gets the window of the LaurentSeries sum of those products, leading
-    zeros trimmed.  Each layer is A / D once (:func:`_numerators`); over
+    zeros trimmed.  Each f_n is A / D once (:func:`_numerators`); over
     L = lcm(D_{f_n}, D_{a_k} D_{b_{n-k}}) the sum runs on integers,
     n L g_n = n L f_n + sign sum_k k (L / (D_{a_k} D_{b_{n-k}})) A_k B_{n-k},
-    with one Fraction per output coefficient.
+    and g_n's own A and D are that sum and n L over their gcd.
     """
     fs = [None] + [(p.min_exp, p.trunc_order, *_numerators(p.coeffs))
                    for p in f[1:]]
@@ -443,9 +443,11 @@ def _exp_log_terms(f: Sequence[LaurentSeries], sign: int
             for e, x in enumerate(_convolve(a, b, w), ma + mb - lo):
                 acc[e] += scale * x
         first = next((i for i, x in enumerate(acc) if x), len(acc))
-        cs = [Fraction(x, n * common) for x in acc[first:]]
-        out.append(LaurentSeries(f[0].variable, lo + first, cs, trunc))
-        gs.append((lo + first, trunc, *_numerators(cs)))
+        div = gcd(n * common, *acc[first:])
+        gs.append((lo + first, trunc, [x // div for x in acc[first:]],
+                   n * common // div))
+        out.append(LaurentSeries(f[0].variable, lo + first, [
+            Fraction(x, n * common) for x in acc[first:]], trunc))
     return out
 
 

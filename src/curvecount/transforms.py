@@ -155,12 +155,12 @@ def gw_to_gv(gw: GwTable, g_out: int, d_out: int) -> GvTable:
             b, c = val.denominator, sum([w * x[g] for w, x in zip(ws, xs)])
             ws = [w * r * r for w, r in zip(ws, rs)]
             t = _dot(row, nums)  # over row[1] * nden; the diagonal drops out
-            # val - c/(row[1] cden) - t/(row[1] nden) over X = row[1] e,
-            # e = lcm(cden, nden), times k = 1 unless b does not divide X
+            # val - c/(row[1] cden) - t/(row[1] nden) over lcm(den, b),
+            # den = row[1] e and e = lcm(cden, nden)
             den = row[1] * e
-            k = b // gcd(den, b) if den % b else 1
-            x = out[(g, d)] = Fraction(val.numerator * (den * k // b) - (
-                c * (e // cden) + t * (e // nden)) * k, den * k)
+            xden = lcm(den, b)
+            x = out[(g, d)] = Fraction(val.numerator * (xden // b) - (
+                c * (e // cden) + t * (e // nden)) * (xden // den), xden)
             if nden % (q := x.denominator):  # nden becomes lcm(nden, q)
                 grow = q // gcd(nden, q)
                 nums, nden, t = [y * grow for y in nums], nden * grow, t * grow

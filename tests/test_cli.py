@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -791,3 +792,112 @@ def test_bounds_check_rejects_an_option_it_does_not_read(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err == f"error: bounds check {what} does not read --{unread}\n"
     assert not out.exists()
+
+
+_JSON_WINDOW = [
+    ("gv2pt", ["--gmax", "0"]),
+    ("pt2dt", ["--dmax", "5"]),
+    ("pt2dt", ["--qwindow", "0:1"]),
+    ("validate --kind gv", ["--gmax", "0"]),
+    ("validate --kind gv", ["--dmax", "1"]),
+    ("validate --kind pt", ["--dmax", "1"]),
+]
+
+
+@pytest.mark.parametrize("label, flag", _JSON_WINDOW, ids=[
+    f"{label.replace(' --kind ', '-')}{flag[0]}" for label, flag in _JSON_WINDOW])
+def test_a_csv_window_option_on_a_json_table_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, label, flag):
+    """A JSON table carries its own window, so an option that only states a
+    CSV table's window is refused before the file is read."""
+    monkeypatch.chdir(tmp_path)  # no input exists; nothing may be written
+    base = {**_BASE_ARGV, "validate --kind gv": [
+        "validate", "--kind", "gv", "--report", "r.json"]}[label]
+    argv = base + ["--in", "absent.json", *flag]
+    if argv[0] == "transform":
+        argv += ["--out", "out.json"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {label} does not read {flag[0]} for a JSON table\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_csv_window_config_key_on_a_json_table_is_a_usage_error(tmp_path,
+                                                                 capsys):
+    src = write(tmp_path / "g.json", json.dumps(
+        {"kind": "gv", "d_max": 2, "g_max": 3,
+         "entries": [[0, 1, "2875"], [0, 2, "609250"]]}))
+    cfg = write(tmp_path / "cc.conf", "gmax = 0\n")
+    out = tmp_path / "pt.json"
+    assert main(["--config", cfg, "transform", "gv2pt", "--in", src,
+                 "--dmax", "2", "--qwindow", "-3:5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: gv2pt does not read --gmax for a JSON table\n")
+    assert not out.exists()
+    assert main(["transform", "gv2pt", "--in", src, "--dmax", "2",
+                 "--qwindow", "-3:5", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("role", ["in", "dt0", "frame", "known"])
+def test_a_json_file_nested_too_deeply_is_an_error_not_a_traceback(
+        tmp_path, capsys, role):
+    from curvecount.bcov import ConifoldFrame
+
+    text = "[" * 100000 + "]" * 100000
+    with pytest.raises(RecursionError) as caught:
+        json.loads(text)
+    why = str(caught.value)
+    deep = write(tmp_path / "deep.json", text)
+    good = {
+        "in": write(tmp_path / "pt.csv", "n,d,value\n0,1,1\n"),
+        "dt0": write(tmp_path / "dt0.json", SERIES_ONE),
+        "frame": write(tmp_path / "frame.json", json.dumps(
+            ConifoldFrame.toy(12).to_json_dict())),
+        "known": write(tmp_path / "known.json", json.dumps(
+            LaurentSeries.zero("Delta", 0).to_json_dict())),
+        role: deep,
+    }
+    out = tmp_path / "out.json"
+    if role in ("in", "dt0"):
+        argv = ["transform", "pt2dt", "--in", good["in"], "--dt0", good["dt0"]]
+    else:
+        argv = ["bcov", "gap-solve", "--g", "2", "--frame", good["frame"],
+                "--known", good["known"]]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {deep}: {why}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["out", "report", "emit-svg"])
+def test_a_failed_write_names_the_requested_path(tmp_path, capsys, target):
+    src = write(tmp_path / "gv.csv", "g,d,value\n0,1,2875\n")
+    missing = str(tmp_path / "missing" / "x")
+    written = {"out": [], "report": ["gw.csv"], "emit-svg": ["w.csv"]}[target]
+    if target == "emit-svg":
+        argv = ["walls", "candidates", "--n", "5", "--d", "20", "--b", "-2",
+                "--out", str(tmp_path / "w.csv"), "--emit-svg", missing]
+    else:
+        out = missing if target == "out" else str(tmp_path / "gw.csv")
+        argv = ["transform", "gv2gw", "--in", src, "--gmax", "1", "--dmax", "1",
+                "--out", out]
+        if target == "report":
+            argv += ["--report", missing]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: "
+        f"{missing!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gv.csv"] + written
+
+
+def test_a_failed_rename_names_the_target_and_leaves_no_file(tmp_path,
+                                                             capsys):
+    src = write(tmp_path / "gv.csv", "g,d,value\n0,1,2875\n")
+    target = tmp_path / "gw.csv"
+    target.mkdir()
+    assert main(["transform", "gv2gw", "--in", src, "--gmax", "1",
+                 "--dmax", "1", "--out", str(target)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+        f"{str(target)!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gv.csv", "gw.csv"]
+    assert list(target.iterdir()) == []
